@@ -30,7 +30,6 @@ using core::AuthMode;
 using core::PoaVerdict;
 using core::PoaView;
 using core::ProofOfAlibi;
-using core::RegisterDroneRequest;
 using core::SignedSample;
 using core::SubmitPoaRequest;
 
@@ -250,28 +249,6 @@ TEST(CodecView, ReserveFromHintEncodesWithoutReallocation) {
   EXPECT_EQ(w.size(), request.encoded_size_hint());  // hint is exact
   EXPECT_EQ(w.capacity(), reserved);                 // no growth
   EXPECT_EQ(w.data().data(), before);                // no reallocation
-}
-
-TEST(CodecView, SizeHintsAreExactForProtocolMessages) {
-  DeterministicRandom key_rng(std::string_view("hint-keys"));
-  const crypto::RsaKeyPair keys = crypto::generate_rsa_keypair(512, key_rng);
-  DeterministicRandom rng(std::string_view("hint-poa"));
-
-  SubmitPoaRequest submit;
-  submit.poa = make_poa(rng, keys).serialize();
-  EXPECT_EQ(submit.encode().size(), submit.encoded_size_hint());
-
-  PoaVerdict verdict;
-  verdict.accepted = true;
-  verdict.detail = "compliant";
-  EXPECT_EQ(verdict.encode().size(), verdict.encoded_size_hint());
-
-  RegisterDroneRequest reg;
-  reg.operator_key_n = keys.pub.n.to_bytes();
-  reg.operator_key_e = keys.pub.e.to_bytes();
-  reg.tee_key_n = keys.pub.n.to_bytes();
-  reg.tee_key_e = keys.pub.e.to_bytes();
-  EXPECT_EQ(reg.encode().size(), reg.encoded_size_hint());
 }
 
 // ---- BufferPool ---------------------------------------------------------
