@@ -3,17 +3,18 @@
 // encode/decode pair over net::Writer/Reader; decode returns nullopt on
 // any malformation.
 //
-// Each struct also exposes `encoded_size_hint()` — the exact byte count
-// encode() will produce — so encode() can reserve() the whole buffer up
-// front (one allocation per message, none when the Writer's buffer comes
-// from a BufferPool). The server's hot submission/query endpoints have
-// additional `*_view` decoders that borrow the request frame instead of
-// copying payloads.
+// Each struct's `fields()` is its single field list: wire order, wire
+// types and checks (see net::wire). encode(), the exact
+// `encoded_size_hint()` (so encode() reserves the whole buffer up front)
+// and decode() are all derived from it. The server's hot submission and
+// query endpoints have `*View` counterparts that reuse the same list and
+// borrow the request frame instead of copying payloads.
 #pragma once
 
 #include <optional>
 #include <span>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "core/protocol_types.h"
@@ -33,6 +34,9 @@ struct RegisterDroneRequest {
   crypto::Bytes tee_key_n;
   crypto::Bytes tee_key_e;
 
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.operator_key_n, m.operator_key_e, m.tee_key_n, m.tee_key_e);
+  }
   std::size_t encoded_size_hint() const;
   crypto::Bytes encode() const;
   static std::optional<RegisterDroneRequest> decode(std::span<const std::uint8_t>);
@@ -45,6 +49,7 @@ struct RegisterDroneResponse {
   bool ok = false;
   DroneId drone_id;
 
+  static constexpr auto fields(auto& m) { return std::tie(m.ok, m.drone_id); }
   std::size_t encoded_size_hint() const;
   crypto::Bytes encode() const;
   static std::optional<RegisterDroneResponse> decode(std::span<const std::uint8_t>);
@@ -59,9 +64,14 @@ struct RegisterZoneRequest {
   crypto::Bytes owner_key_e;
   crypto::Bytes proof_signature;
 
-  /// The exact bytes the ownership proof signs.
+  /// The exact bytes the ownership proof signs: the wire encoding of the
+  /// leading (zone, description) fields.
   crypto::Bytes signed_payload() const;
 
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.zone, m.description, m.owner_key_n, m.owner_key_e,
+                    m.proof_signature);
+  }
   std::size_t encoded_size_hint() const;
   crypto::Bytes encode() const;
   static std::optional<RegisterZoneRequest> decode(std::span<const std::uint8_t>);
@@ -71,6 +81,7 @@ struct RegisterZoneResponse {
   bool ok = false;
   ZoneId zone_id;
 
+  static constexpr auto fields(auto& m) { return std::tie(m.ok, m.zone_id); }
   std::size_t encoded_size_hint() const;
   crypto::Bytes encode() const;
   static std::optional<RegisterZoneResponse> decode(std::span<const std::uint8_t>);
@@ -85,6 +96,9 @@ struct ZoneQueryRequest {
   crypto::Bytes nonce;
   crypto::Bytes nonce_signature;
 
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.drone_id, m.rect, m.nonce, m.nonce_signature);
+  }
   std::size_t encoded_size_hint() const;
   crypto::Bytes encode() const;
   static std::optional<ZoneQueryRequest> decode(std::span<const std::uint8_t>);
@@ -100,12 +114,15 @@ struct ZoneQueryRequestView {
   std::span<const std::uint8_t> nonce;
   std::span<const std::uint8_t> nonce_signature;
 
+  static constexpr auto fields(auto& m) { return ZoneQueryRequest::fields(m); }
   static std::optional<ZoneQueryRequestView> decode(std::span<const std::uint8_t>);
 };
 
 struct ZoneInfo {
   ZoneId id;
   geo::GeoZone zone;
+
+  static constexpr auto fields(auto& m) { return std::tie(m.id, m.zone); }
 };
 
 struct ZoneQueryResponse {
@@ -113,6 +130,7 @@ struct ZoneQueryResponse {
   std::string error;
   std::vector<ZoneInfo> zones;
 
+  static constexpr auto fields(auto& m) { return std::tie(m.ok, m.error, m.zones); }
   std::size_t encoded_size_hint() const;
   crypto::Bytes encode() const;
   static std::optional<ZoneQueryResponse> decode(std::span<const std::uint8_t>);
@@ -122,6 +140,7 @@ struct ZoneQueryResponse {
 struct SubmitPoaRequest {
   crypto::Bytes poa;  ///< ProofOfAlibi::serialize()
 
+  static constexpr auto fields(auto& m) { return std::tie(m.poa); }
   std::size_t encoded_size_hint() const;
   crypto::Bytes encode() const;
   static std::optional<SubmitPoaRequest> decode(std::span<const std::uint8_t>);
@@ -138,6 +157,9 @@ struct PoaVerdict {
   std::uint32_t violation_count = 0;
   std::string detail;
 
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.accepted, m.compliant, m.violation_count, m.detail);
+  }
   std::size_t encoded_size_hint() const;
   crypto::Bytes encode() const;
   static std::optional<PoaVerdict> decode(std::span<const std::uint8_t>);
@@ -167,6 +189,10 @@ struct TeslaAnnounceRequest {
   crypto::Bytes commit_payload;
   crypto::Bytes commit_signature;  ///< TEE signature over commit_payload
 
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.drone_id, m.session_nonce, m.hash, m.commit_payload,
+                    m.commit_signature);
+  }
   std::size_t encoded_size_hint() const;
   crypto::Bytes encode() const;
   static std::optional<TeslaAnnounceRequest> decode(std::span<const std::uint8_t>);
@@ -177,6 +203,7 @@ struct TeslaAck {
   bool accepted = false;
   std::string detail;
 
+  static constexpr auto fields(auto& m) { return std::tie(m.accepted, m.detail); }
   std::size_t encoded_size_hint() const;
   crypto::Bytes encode() const;
   static std::optional<TeslaAck> decode(std::span<const std::uint8_t>);
@@ -191,6 +218,9 @@ struct TeslaSampleBroadcast {
   crypto::Bytes sample;  ///< tee::kEncodedSampleSize bytes
   crypto::Bytes tag;     ///< 32 bytes
 
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.drone_id, m.session_nonce, m.interval, m.sample, m.tag);
+  }
   std::size_t encoded_size_hint() const;
   crypto::Bytes encode() const;
   static std::optional<TeslaSampleBroadcast> decode(std::span<const std::uint8_t>);
@@ -206,6 +236,7 @@ struct TeslaSampleBroadcastView {
   std::span<const std::uint8_t> sample;
   std::span<const std::uint8_t> tag;
 
+  static constexpr auto fields(auto& m) { return TeslaSampleBroadcast::fields(m); }
   static std::optional<TeslaSampleBroadcastView> decode(
       std::span<const std::uint8_t>);
 };
@@ -219,6 +250,9 @@ struct TeslaDiscloseRequest {
   std::uint64_t index = 0;
   crypto::Bytes key;  ///< 32 bytes
 
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.drone_id, m.session_nonce, m.index, m.key);
+  }
   std::size_t encoded_size_hint() const;
   crypto::Bytes encode() const;
   static std::optional<TeslaDiscloseRequest> decode(std::span<const std::uint8_t>);
@@ -230,6 +264,7 @@ struct TeslaDiscloseRequestView {
   std::uint64_t index = 0;
   std::span<const std::uint8_t> key;
 
+  static constexpr auto fields(auto& m) { return TeslaDiscloseRequest::fields(m); }
   static std::optional<TeslaDiscloseRequestView> decode(
       std::span<const std::uint8_t>);
 };
@@ -241,6 +276,9 @@ struct TeslaFinalizeRequest {
   std::uint64_t session_nonce = 0;
   double end_time = 0.0;
 
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.drone_id, m.session_nonce, m.end_time);
+  }
   std::size_t encoded_size_hint() const;
   crypto::Bytes encode() const;
   static std::optional<TeslaFinalizeRequest> decode(std::span<const std::uint8_t>);
@@ -253,7 +291,11 @@ struct AccusationRequest {
   double incident_time = 0.0;
   crypto::Bytes owner_signature;  ///< over (zone_id, drone_id, time)
 
+  /// The wire encoding of the leading three fields (what the owner signs).
   crypto::Bytes signed_payload() const;
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.zone_id, m.drone_id, m.incident_time, m.owner_signature);
+  }
   std::size_t encoded_size_hint() const;
   crypto::Bytes encode() const;
   static std::optional<AccusationRequest> decode(std::span<const std::uint8_t>);
@@ -264,6 +306,9 @@ struct AccusationResponse {
   bool alibi_holds = false;  ///< stored PoA proves non-entrance
   std::string detail;
 
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.ok, m.alibi_holds, m.detail);
+  }
   std::size_t encoded_size_hint() const;
   crypto::Bytes encode() const;
   static std::optional<AccusationResponse> decode(std::span<const std::uint8_t>);

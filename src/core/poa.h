@@ -7,11 +7,16 @@
 // supported: the paper's per-sample RSA signatures, plus the Section
 // VII-A1 alternatives (ephemeral HMAC session keys; one batch signature
 // over the whole trace).
+//
+// ProofOfAlibi::fields() is the PoA's single wire field list; serialize,
+// encoded_size, parse and the zero-copy PoaView parse all derive from it
+// (net::wire).
 #pragma once
 
 #include <optional>
 #include <span>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "core/protocol_types.h"
@@ -35,6 +40,9 @@ enum class AuthMode : std::uint8_t {
   kTeslaChain = 3,
 };
 
+/// Largest value a wire decoder accepts for an AuthMode byte.
+constexpr AuthMode wire_max(AuthMode) { return AuthMode::kTeslaChain; }
+
 std::string to_string(AuthMode mode);
 
 /// One alibi element: the signed canonical sample bytes. In kHmacSession
@@ -43,6 +51,8 @@ std::string to_string(AuthMode mode);
 struct SignedSample {
   crypto::Bytes sample;     ///< tee::encode_sample output (32 bytes)
   crypto::Bytes signature;
+
+  static constexpr auto fields(auto& m) { return std::tie(m.sample, m.signature); }
 
   /// Decoded view; nullopt when `sample` is malformed.
   std::optional<gps::GpsFix> fix() const;
@@ -72,6 +82,11 @@ struct ProofOfAlibi {
   std::optional<double> start_time() const;
   std::optional<double> end_time() const;
 
+  static constexpr auto fields(auto& m) {
+    return std::tie(m.drone_id, m.mode, m.hash, m.encrypted, m.samples, m.batch_signature,
+                    m.session_key_ciphertext, m.session_key_signature);
+  }
+
   crypto::Bytes serialize() const;
   /// Size of serialize()'s output, for Writer::reserve.
   std::size_t encoded_size() const;
@@ -83,6 +98,8 @@ struct SignedSampleView {
   std::span<const std::uint8_t> sample;
   std::span<const std::uint8_t> signature;
 
+  static constexpr auto fields(auto& m) { return SignedSample::fields(m); }
+
   std::optional<gps::GpsFix> fix() const;
 };
 
@@ -91,8 +108,7 @@ struct SignedSampleView {
 /// runs without per-proof heap allocation; materialize() builds an owning
 /// ProofOfAlibi only when the Auditor decides to retain the proof.
 /// Identical strictness to ProofOfAlibi::parse (same rejects, same
-/// no-trailing-garbage contract) — ProofOfAlibi::parse is implemented as
-/// parse_into + materialize, so they cannot drift.
+/// no-trailing-garbage contract): both decode ProofOfAlibi::fields().
 struct PoaView {
   std::string_view drone_id;
   AuthMode mode = AuthMode::kRsaPerSample;
@@ -102,6 +118,8 @@ struct PoaView {
   std::span<const std::uint8_t> batch_signature;
   std::span<const std::uint8_t> session_key_ciphertext;
   std::span<const std::uint8_t> session_key_signature;
+
+  static constexpr auto fields(auto& m) { return ProofOfAlibi::fields(m); }
 
   /// Parses `data` into `out`, reusing out.samples' capacity (the pipeline
   /// keeps scratch PoaViews alive across batches for this reason).

@@ -10,6 +10,7 @@
 
 #include <cstdint>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "crypto/rsa.h"
@@ -50,6 +51,8 @@ struct ZoneRecord {
 struct QueryRect {
   geo::GeoPoint corner1;
   geo::GeoPoint corner2;
+
+  static constexpr auto fields(auto& m) { return std::tie(m.corner1, m.corner2); }
 
   bool contains(geo::GeoPoint p) const {
     const double lat_lo = std::min(corner1.lat_deg, corner2.lat_deg);

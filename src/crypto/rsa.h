@@ -25,6 +25,8 @@ enum class HashAlgorithm {
   kSha1,    ///< paper's TEE_ALG_RSASSA_PKCS1_V1_5_SHA1
   kSha256,  ///< modern default
 };
+/// Largest value a wire decoder accepts for a HashAlgorithm byte.
+constexpr HashAlgorithm wire_max(HashAlgorithm) { return HashAlgorithm::kSha256; }
 
 std::string to_string(HashAlgorithm h);
 

@@ -7,6 +7,8 @@
 // projection is accurate to well under a meter, far below GPS noise.
 #pragma once
 
+#include <tuple>
+
 #include "geo/vec2.h"
 
 namespace alidrone::geo {
@@ -20,6 +22,8 @@ struct GeoPoint {
   double lon_deg = 0.0;
 
   constexpr bool operator==(const GeoPoint&) const = default;
+  /// Member order on the wire (net::wire field list).
+  static constexpr auto fields(auto& m) { return std::tie(m.lat_deg, m.lon_deg); }
 };
 
 /// Great-circle distance between two geodetic points, in meters (haversine).

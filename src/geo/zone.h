@@ -13,6 +13,8 @@ struct GeoZone {
   double radius_m = 0.0;
 
   constexpr bool operator==(const GeoZone&) const = default;
+  /// Member order on the wire (net::wire field list).
+  static constexpr auto fields(auto& m) { return std::tie(m.center, m.radius_m); }
 };
 
 /// Project a geodetic zone into a local planar frame.

@@ -6,6 +6,9 @@
 
 #include <cstdio>
 #include <functional>
+#include <optional>
+#include <span>
+#include <vector>
 
 #include "core/auditor.h"
 #include "core/messages.h"
@@ -97,39 +100,107 @@ TEST_P(FuzzSeed, PoaParserRejectsPureRandomBytes) {
   SUCCEED();
 }
 
+/// One wire type under mutation: its owning decode followed by a
+/// re-encode, and whether its borrowing decoder (if any) accepts a frame.
+struct WireType {
+  const char* name;
+  Bytes frame;
+  std::function<std::optional<Bytes>(std::span<const std::uint8_t>)> reencode;
+  std::function<bool(std::span<const std::uint8_t>)> view_accepts;
+};
+
+template <class M>
+WireType wire_type(const char* name, const M& m,
+                   std::function<bool(std::span<const std::uint8_t>)> view = {}) {
+  return {name, m.encode(),
+          [](std::span<const std::uint8_t> f) -> std::optional<Bytes> {
+            const auto decoded = M::decode(f);
+            if (!decoded) return std::nullopt;
+            return decoded->encode();
+          },
+          std::move(view)};
+}
+
+std::vector<WireType> wire_types(DeterministicRandom& rng) {
+  using namespace core;
+  const auto key = rng.bytes(64);
+  WireType poa{"ProofOfAlibi", sample_poa().serialize(),
+               [](std::span<const std::uint8_t> f) -> std::optional<Bytes> {
+                 const auto parsed = ProofOfAlibi::parse(f);
+                 if (!parsed) return std::nullopt;
+                 return parsed->serialize();
+               },
+               [](std::span<const std::uint8_t> f) {
+                 PoaView view;
+                 return PoaView::parse_into(f, view);
+               }};
+  return {
+      wire_type("RegisterDroneRequest", RegisterDroneRequest{key, {1, 0, 1}, key, {3}}),
+      wire_type("RegisterDroneResponse", RegisterDroneResponse{true, "drone-1"}),
+      wire_type("RegisterZoneRequest",
+                RegisterZoneRequest{{{40.0, -88.0}, 30.0}, "prop", key, {1, 0, 1},
+                                    rng.bytes(64)}),
+      wire_type("RegisterZoneResponse", RegisterZoneResponse{true, "zone-1"}),
+      wire_type("ZoneQueryRequest",
+                ZoneQueryRequest{"drone-1", {{40.0, -89.0}, {41.0, -88.0}},
+                                 rng.bytes(16), rng.bytes(64)},
+                [](std::span<const std::uint8_t> f) {
+                  return ZoneQueryRequestView::decode(f).has_value();
+                }),
+      wire_type("ZoneQueryResponse",
+                ZoneQueryResponse{true, "", {{"zone-1", {{40.0, -88.0}, 30.0}},
+                                             {"zone-2", {{40.1, -88.1}, 45.0}}}}),
+      wire_type("SubmitPoaRequest", SubmitPoaRequest{sample_poa().serialize()},
+                [](std::span<const std::uint8_t> f) {
+                  return SubmitPoaRequest::decode_view(f).has_value();
+                }),
+      wire_type("PoaVerdict", PoaVerdict{true, true, 2, "compliant"}),
+      wire_type("TeslaAnnounceRequest",
+                TeslaAnnounceRequest{"drone-1", 7, crypto::HashAlgorithm::kSha256,
+                                     rng.bytes(61), key}),
+      wire_type("TeslaAck", TeslaAck{true, "ok"}),
+      wire_type("TeslaSampleBroadcast",
+                TeslaSampleBroadcast{"drone-1", 7, 3, rng.bytes(32), rng.bytes(32)},
+                [](std::span<const std::uint8_t> f) {
+                  return TeslaSampleBroadcastView::decode(f).has_value();
+                }),
+      wire_type("TeslaDiscloseRequest",
+                TeslaDiscloseRequest{"drone-1", 7, 2, rng.bytes(32)},
+                [](std::span<const std::uint8_t> f) {
+                  return TeslaDiscloseRequestView::decode(f).has_value();
+                }),
+      wire_type("TeslaFinalizeRequest", TeslaFinalizeRequest{"drone-1", 7, 1528400100.0}),
+      wire_type("AccusationRequest", AccusationRequest{"z", "d", 1.0, rng.bytes(64)}),
+      wire_type("AccusationResponse", AccusationResponse{true, true, "alibi holds"}),
+      std::move(poa),
+  };
+}
+
+// Decoders are strict and canonical: any frame a decoder accepts — a
+// mutated frame of its own type or of any other — re-encodes to exactly
+// the same bytes, and the owning and borrowing decoders of a type accept
+// and reject the same frames.
 TEST_P(FuzzSeed, ProtocolMessageDecodersSurviveMutations) {
   DeterministicRandom rng(static_cast<std::uint64_t>(GetParam()) * 131 + 3);
+  const std::vector<WireType> types = wire_types(rng);
+  ASSERT_EQ(types.size(), 16u);  // 15 protocol messages + the PoA
 
-  core::ZoneQueryRequest query;
-  query.drone_id = "drone-1";
-  query.rect = {{40.0, -89.0}, {41.0, -88.0}};
-  query.nonce = rng.bytes(16);
-  query.nonce_signature = rng.bytes(64);
-
-  core::RegisterZoneRequest zone;
-  zone.zone = {{40.0, -88.0}, 30.0};
-  zone.description = "prop";
-  zone.owner_key_n = rng.bytes(64);
-  zone.owner_key_e = {1, 0, 1};
-  zone.proof_signature = rng.bytes(64);
-
-  const std::vector<Bytes> messages{
-      query.encode(), zone.encode(),
-      core::AccusationRequest{"z", "d", 1.0, rng.bytes(64)}.encode(),
-      core::SubmitPoaRequest{sample_poa().serialize()}.encode()};
-
-  for (const Bytes& original : messages) {
+  for (const WireType& source : types) {
     for (int i = 0; i < 100; ++i) {
-      const Bytes corrupted = mutate(original, rng);
-      core::ZoneQueryRequest::decode(corrupted);
-      core::RegisterZoneRequest::decode(corrupted);
-      core::AccusationRequest::decode(corrupted);
-      core::SubmitPoaRequest::decode(corrupted);
-      core::RegisterDroneRequest::decode(corrupted);
-      core::PoaVerdict::decode(corrupted);
+      const Bytes corrupted = mutate(source.frame, rng);
+      for (const WireType& t : types) {
+        const auto reencoded = t.reencode(corrupted);
+        if (reencoded) {
+          EXPECT_EQ(*reencoded, corrupted) << t.name << " accepted a " << source.name
+                                           << " mutation non-canonically";
+        }
+        if (t.view_accepts) {
+          EXPECT_EQ(t.view_accepts(corrupted), reencoded.has_value())
+              << t.name << " owning/view disagree on a " << source.name << " mutation";
+        }
+      }
     }
   }
-  SUCCEED();
 }
 
 TEST_P(FuzzSeed, AuditorEndpointsSurviveGarbageOverTheBus) {
