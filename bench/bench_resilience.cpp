@@ -91,15 +91,6 @@ void BM_ReliableChannelRetriedRequest(benchmark::State& state) {
 }
 BENCHMARK(BM_ReliableChannelRetriedRequest);
 
-void BM_RequestIdDerivation(benchmark::State& state) {
-  const crypto::Bytes body = payload();
-  const std::string endpoint(kEndpoint);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ReliableChannel::request_id(endpoint, body));
-  }
-}
-BENCHMARK(BM_RequestIdDerivation);
-
 void BM_CircuitBreakerHotPath(benchmark::State& state) {
   CircuitBreaker breaker;
   for (auto _ : state) {

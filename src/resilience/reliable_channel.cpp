@@ -2,8 +2,6 @@
 
 #include <stdexcept>
 
-#include "crypto/sha256.h"
-
 namespace alidrone::resilience {
 
 ReliableChannel::ReliableChannel(net::Transport& bus, SimClock& clock)
@@ -26,17 +24,6 @@ ReliableChannel::ReliableChannel(net::Transport& bus, SimClock& clock,
   breaker_fast_fails_ = &reg.counter(scope + ".breaker_fast_fails");
   retry_later_replies_ = &reg.counter(scope + ".retry_later_replies");
   deadline_expired_ = &reg.counter(scope + ".deadline_expired");
-}
-
-crypto::Bytes ReliableChannel::request_id(const std::string& endpoint,
-                                          const crypto::Bytes& payload) {
-  crypto::Sha256 hasher;
-  crypto::Bytes name(endpoint.begin(), endpoint.end());
-  name.push_back(0x00);  // unambiguous (endpoint, payload) boundary
-  hasher.update(name);
-  hasher.update(payload);
-  const auto digest = hasher.finalize();
-  return crypto::Bytes(digest.begin(), digest.begin() + 16);
 }
 
 const CircuitBreaker* ReliableChannel::breaker(const std::string& endpoint) const {

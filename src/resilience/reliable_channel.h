@@ -4,11 +4,9 @@
 // One logical request = up to RetryPolicy::max_attempts bus attempts,
 // separated by capped exponential backoff "slept" on the scenario's
 // SimClock. Every endpoint gets its own CircuitBreaker so a dead Auditor
-// endpoint fails fast instead of burning the deadline budget, and every
-// logical request carries a deterministic idempotency id (a digest of
-// endpoint + payload) — retries of the same logical request are
-// byte-identical on the wire, which is what lets the server deduplicate
-// them by content.
+// endpoint fails fast instead of burning the deadline budget. Retries of
+// the same logical request are byte-identical on the wire, which is what
+// lets the server deduplicate them by content.
 //
 // With no faults injected the channel is a strict pass-through: exactly
 // one bus attempt per logical request and zero clock advances — the
@@ -81,12 +79,6 @@ class ReliableChannel {
   /// lost message becomes a retry, an exhausted budget becomes
   /// Outcome{ok=false}.
   Outcome request(const std::string& endpoint, const crypto::Bytes& payload);
-
-  /// Deterministic idempotency id: retries of the same logical request
-  /// share it, distinct requests (or endpoints) get fresh ones. This is
-  /// the digest servers use for content-based dedup.
-  static crypto::Bytes request_id(const std::string& endpoint,
-                                  const crypto::Bytes& payload);
 
   /// Point-in-time snapshot of the channel's registry counters.
   Counters counters() const;

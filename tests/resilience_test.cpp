@@ -358,20 +358,6 @@ TEST_F(ChannelFixture, ResponseLossRunsHandlerButRetries) {
   EXPECT_EQ(outcome.attempts, 2u);
 }
 
-TEST(RequestIdTest, DeterministicAndDistinct) {
-  const crypto::Bytes payload{1, 2, 3};
-  const auto id_a = ReliableChannel::request_id("svc.a", payload);
-  const auto id_b = ReliableChannel::request_id("svc.a", payload);
-  EXPECT_EQ(id_a, id_b);
-  EXPECT_EQ(id_a.size(), 16u);
-
-  EXPECT_NE(id_a, ReliableChannel::request_id("svc.b", payload));
-  EXPECT_NE(id_a, ReliableChannel::request_id("svc.a", crypto::Bytes{1, 2}));
-  // The 0x00 separator keeps (endpoint, payload) framing unambiguous.
-  EXPECT_NE(ReliableChannel::request_id("ab", {'c'}),
-            ReliableChannel::request_id("a", {'b', 'c'}));
-}
-
 TEST_F(ChannelFixture, FaultScheduleReplaysBitForBit) {
   // Same seed + schedule => identical attempt counts and final clock.
   const auto run = [](std::uint64_t seed) {
