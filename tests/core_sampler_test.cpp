@@ -1,5 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "core/flight.h"
 #include "core/sampler.h"
 #include "core/sufficiency.h"
@@ -120,7 +123,7 @@ TEST(FixedRateSampler, NameIncludesRate) {
 // adaptive sampling is never worse there than fixed-rate at the same
 // rate, while still skipping samples when far from zones.
 class AdaptiveSufficiencyProperty
-    : public ::testing::TestWithParam<std::tuple<const char*, double>> {
+    : public ::testing::TestWithParam<std::tuple<std::string, double>> {
  protected:
   struct Outcome {
     std::size_t samples = 0;
@@ -167,7 +170,7 @@ class AdaptiveSufficiencyProperty
 
 TEST_P(AdaptiveSufficiencyProperty, SufficientAtMaxRateNeverWorseBelow) {
   const auto [scenario_name, gps_rate] = GetParam();
-  const sim::Scenario scenario = std::string(scenario_name) == "airport"
+  const sim::Scenario scenario = scenario_name == "airport"
                                      ? sim::make_airport_scenario(kT0)
                                      : sim::make_residential_scenario(kT0);
 
@@ -195,7 +198,7 @@ TEST_P(AdaptiveSufficiencyProperty, SufficientAtMaxRateNeverWorseBelow) {
 
 INSTANTIATE_TEST_SUITE_P(
     ScenariosAndRates, AdaptiveSufficiencyProperty,
-    ::testing::Combine(::testing::Values("airport", "residential"),
+    ::testing::Combine(::testing::Values(std::string("airport"), std::string("residential")),
                        ::testing::Values(2.0, 3.0, 5.0)));
 
 TEST(RunFlight, LogCoversEveryUpdateAndCountsMatch) {

@@ -70,12 +70,14 @@ crypto::Bytes bytes_of(std::string_view text) {
 
 // ---- 1. Contract over real sockets -------------------------------------
 
+// The parameter names the transport; the UDS socket path (which carries
+// the pid) is built in the body so test names are stable across runs.
 class TransportContractTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(TransportContractTest, EchoUnknownEndpointAndHandlerErrors) {
   obs::MetricsRegistry registry;
   TransportServer::Config config;
-  config.listen = {GetParam()};
+  config.listen = {GetParam() == "uds" ? unique_uds("contract") : GetParam()};
   config.workers = 2;
   config.registry = &registry;
   TransportServer server(std::move(config));
@@ -123,7 +125,7 @@ TEST_P(TransportContractTest, EchoUnknownEndpointAndHandlerErrors) {
 
 INSTANTIATE_TEST_SUITE_P(UdsAndTcp, TransportContractTest,
                          ::testing::Values(std::string("tcp:127.0.0.1:0"),
-                                           unique_uds("contract")));
+                                           std::string("uds")));
 
 TEST(TransportTest, ConnectionTraceAndCountersTrack) {
   obs::MetricsRegistry registry;
