@@ -38,57 +38,16 @@ void Writer::str(std::string_view s) {
   bytes({reinterpret_cast<const std::uint8_t*>(s.data()), s.size()});
 }
 
-std::optional<std::uint8_t> Reader::u8() {
-  if (remaining() < 1) return std::nullopt;
-  return data_[pos_++];
-}
-
-std::optional<std::uint32_t> Reader::u32() {
-  if (remaining() < 4) return std::nullopt;
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 4;
-  return v;
-}
-
-std::optional<std::uint64_t> Reader::u64() {
-  if (remaining() < 8) return std::nullopt;
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
-  pos_ += 8;
-  return v;
-}
-
 std::optional<std::int64_t> Reader::i64() {
   const auto v = u64();
   if (!v) return std::nullopt;
   return static_cast<std::int64_t>(*v);
 }
 
-std::optional<double> Reader::f64() {
-  const auto v = u64();
-  if (!v) return std::nullopt;
-  return std::bit_cast<double>(*v);
-}
-
-std::optional<std::span<const std::uint8_t>> Reader::bytes_view() {
-  const auto len = u32();
-  if (!len || remaining() < *len) return std::nullopt;
-  auto view = data_.subspan(pos_, *len);
-  pos_ += *len;
-  return view;
-}
-
 std::optional<crypto::Bytes> Reader::bytes() {
   const auto view = bytes_view();
   if (!view) return std::nullopt;
   return crypto::Bytes(view->begin(), view->end());
-}
-
-std::optional<std::string_view> Reader::str_view() {
-  const auto view = bytes_view();
-  if (!view) return std::nullopt;
-  return std::string_view(reinterpret_cast<const char*>(view->data()), view->size());
 }
 
 std::optional<std::string> Reader::str() {
