@@ -23,7 +23,6 @@
 #include "core/auditor.h"
 #include "core/messages.h"
 #include "core/poa.h"
-#include "crypto/batch_verify.h"
 #include "crypto/montgomery.h"
 #include "crypto/random.h"
 #include "crypto/rsa.h"
@@ -190,36 +189,6 @@ void BM_SampleVerifiesEngine(benchmark::State& state) {
   set_counters(state, c);
 }
 BENCHMARK(BM_SampleVerifiesEngine)->Unit(benchmark::kMillisecond);
-
-/// Batched small-exponents verification over the corpus. Args: items per
-/// flush, challenge width (0 = plain product test).
-void BM_SampleVerifiesBatched(benchmark::State& state) {
-  VerifyCorpus& c = corpus();
-  crypto::BatchVerifyConfig config;
-  config.max_batch = static_cast<std::size_t>(state.range(0));
-  config.check_bits = static_cast<std::size_t>(state.range(1));
-  crypto::BatchRsaVerifier bv(c.tee_keys.pub, config);
-  for (auto _ : state) {
-    // One stream across the whole corpus (one drone, one key) so K really
-    // reaches max_batch rather than the per-PoA sample count.
-    std::size_t tag = 0;
-    for (const core::ProofOfAlibi& poa : c.poas) {
-      for (const core::SignedSample& s : poa.samples) {
-        if (!bv.enqueue(tag++, s.sample, s.signature,
-                        crypto::HashAlgorithm::kSha1)) {
-          std::abort();  // corpus is all-valid
-        }
-        if (bv.full()) benchmark::DoNotOptimize(bv.flush());
-      }
-    }
-    benchmark::DoNotOptimize(bv.flush());
-  }
-  set_counters(state, c);
-  state.counters["fallbacks"] = static_cast<double>(bv.fallbacks());
-}
-BENCHMARK(BM_SampleVerifiesBatched)
-    ->Args({8, 16})->Args({32, 16})->Args({8, 0})->Args({32, 0})
-    ->Unit(benchmark::kMillisecond);
 
 }  // namespace
 

@@ -6,7 +6,6 @@
 #include <map>
 #include <set>
 
-#include "crypto/batch_verify.h"
 #include "crypto/hash_chain.h"
 #include "crypto/hmac.h"
 #include "crypto/sha256.h"
@@ -34,10 +33,6 @@ Auditor::Auditor(std::size_t key_bits, crypto::RandomSource& rng, ProtocolParams
   const std::string scope = reg.instance_scope("core.auditor");
   duplicate_submissions_ = &reg.counter(scope + ".duplicate_poa_submissions");
   duplicate_registrations_ = &reg.counter(scope + ".duplicate_registrations");
-  batch_groups_ = &reg.counter(scope + ".batch.groups");
-  batch_samples_ = &reg.counter(scope + ".batch.samples");
-  batch_fallbacks_ = &reg.counter(scope + ".batch.fallbacks");
-  batch_max_group_ = &reg.gauge(scope + ".batch.max_group");
   TeslaVerifier::Config tesla_config;
   tesla_config.max_chain_length = params_.tesla_max_chain_length;
   tesla_config.max_disclosure_delay = params_.tesla_max_disclosure_delay;
@@ -326,10 +321,9 @@ ZoneQueryResponse Auditor::query_zones_impl(
   return response;
 }
 
-std::string Auditor::authenticate_samples(const PoaView& poa,
-                                          const DroneRecord& drone,
-                                          std::vector<gps::GpsFix>& out_samples,
-                                          BatchVerifyStats* stats) const {
+std::string Auditor::authenticate_samples(
+    const PoaView& poa, const DroneRecord& drone,
+    std::vector<gps::GpsFix>& out_samples) const {
   // Mode-specific key material checks first.
   crypto::Bytes hmac_key;
   if (poa.mode == AuthMode::kHmacSession) {
@@ -400,49 +394,6 @@ std::string Auditor::authenticate_samples(const PoaView& poa,
     if (cur != commit->anchor) return "tesla frontier does not chain to anchor";
   }
 
-  // Batched per-sample RSA: every signature in the PoA is under the one
-  // TEE key, so an e-th-power product settles up to max_batch of them
-  // with a single exponent ladder (crypto::BatchRsaVerifier). Verdict
-  // equivalence to serial hangs on one rule: any exit taken below while
-  // signatures are still queued must settle the queue FIRST, because
-  // serial verification would have reported a bad signature at a lower
-  // index before ever reaching the sample that triggered the exit.
-  //
-  // Cost gate: the challenged product costs about (check_bits + 3)
-  // multiplies per item where the serial engine's ladder costs about
-  // (e_bits + 2), so batching only engages when the exponent is clearly
-  // wider than the challenge (or the operator explicitly opted into the
-  // check_bits = 0 screening test, which is permutation-invariant set
-  // authenticity — see BatchRsaVerifier's header). For the standard
-  // e = 65537 with 16-bit challenges the gate keeps the serial engine,
-  // which is the faster sound configuration.
-  std::optional<crypto::BatchRsaVerifier> batcher;
-  const bool batch_predicted_win =
-      params_.batch_verify_check_bits == 0 ||
-      drone.tee_key.e.bit_length() > params_.batch_verify_check_bits + 4;
-  if (params_.batch_verify && batch_predicted_win &&
-      poa.mode == AuthMode::kRsaPerSample &&
-      poa.samples.size() >= std::max<std::size_t>(
-                                params_.batch_verify_min_samples, 2) &&
-      crypto::BatchRsaVerifier::supports(drone.tee_key)) {
-    crypto::BatchVerifyConfig config;
-    config.max_batch = params_.batch_verify_max_batch;
-    config.check_bits = params_.batch_verify_check_bits;
-    batcher.emplace(drone.tee_key, config);
-  }
-  const auto settle = [&]() -> std::optional<std::size_t> {
-    if (!batcher || batcher->size() == 0) return std::nullopt;
-    const std::size_t flushed = batcher->size();
-    const auto bad = batcher->flush();
-    if (stats != nullptr) {
-      ++stats->groups;
-      stats->samples += flushed;
-      if (bad) ++stats->fallbacks;
-      stats->max_group = std::max<std::uint64_t>(stats->max_group, flushed);
-    }
-    return bad;
-  };
-
   crypto::Bytes batch_payload;
   out_samples.clear();
   out_samples.reserve(poa.samples.size());
@@ -456,43 +407,16 @@ std::string Auditor::authenticate_samples(const PoaView& poa,
     std::span<const std::uint8_t> plain = s.sample;
     if (poa.encrypted) {
       auto decrypted = crypto::rsa_decrypt(keypair_.priv, s.sample);
-      if (!decrypted) {
-        if (const auto bad = settle()) {
-          return "sample " + std::to_string(*bad) + " signature invalid";
-        }
-        return "sample " + std::to_string(i) + " undecryptable";
-      }
+      if (!decrypted) return "sample " + std::to_string(i) + " undecryptable";
       decrypted_storage = std::move(*decrypted);
       plain = decrypted_storage;
     }
     const auto fix = tee::decode_sample(plain);
-    if (!fix) {
-      if (const auto bad = settle()) {
-        return "sample " + std::to_string(*bad) + " signature invalid";
-      }
-      return "sample " + std::to_string(i) + " malformed";
-    }
+    if (!fix) return "sample " + std::to_string(i) + " malformed";
 
     switch (poa.mode) {
       case AuthMode::kRsaPerSample:
-        if (batcher) {
-          // The batcher copies what it needs (Montgomery limbs and the
-          // challenge transcript), so `plain` may die with this iteration.
-          if (!batcher->enqueue(i, plain, s.signature, poa.hash)) {
-            // Structurally invalid — serial rejects it without
-            // exponentiating, but only after clearing every lower index.
-            if (const auto bad = settle()) {
-              return "sample " + std::to_string(*bad) + " signature invalid";
-            }
-            return "sample " + std::to_string(i) + " signature invalid";
-          }
-          if (batcher->full()) {
-            if (const auto bad = settle()) {
-              return "sample " + std::to_string(*bad) + " signature invalid";
-            }
-          }
-        } else if (!crypto::rsa_verify(drone.tee_key, plain, s.signature,
-                                       poa.hash)) {
+        if (!crypto::rsa_verify(drone.tee_key, plain, s.signature, poa.hash)) {
           return "sample " + std::to_string(i) + " signature invalid";
         }
         break;
@@ -520,10 +444,6 @@ std::string Auditor::authenticate_samples(const PoaView& poa,
     out_samples.push_back(*fix);
   }
 
-  if (const auto bad = settle()) {
-    return "sample " + std::to_string(*bad) + " signature invalid";
-  }
-
   if (poa.mode == AuthMode::kBatchSignature) {
     if (poa.samples.empty()) return "empty batch";
     if (!crypto::rsa_verify(drone.tee_key, batch_payload, poa.batch_signature,
@@ -548,8 +468,7 @@ Auditor::PoaEvaluation Auditor::evaluate_poa(const PoaView& poa) const {
   }
 
   std::vector<gps::GpsFix> samples;
-  const std::string failure =
-      authenticate_samples(poa, *drone, samples, &evaluation.batch);
+  const std::string failure = authenticate_samples(poa, *drone, samples);
   if (!failure.empty()) {
     verdict.detail = failure;
     return evaluation;
@@ -602,15 +521,6 @@ Auditor::PoaEvaluation Auditor::evaluate_poa(const PoaView& poa) const {
 PoaVerdict Auditor::commit_evaluation(std::string_view drone_id,
                                       PoaEvaluation evaluation,
                                       double submission_time) {
-  // Publish batching work here — commits are serialized in submission
-  // order, so registry snapshots come out byte-identical regardless of
-  // how many threads ran the evaluations.
-  if (evaluation.batch.groups != 0) {
-    batch_groups_->add(evaluation.batch.groups);
-    batch_samples_->add(evaluation.batch.samples);
-    batch_fallbacks_->add(evaluation.batch.fallbacks);
-    batch_max_group_->set_max(static_cast<double>(evaluation.batch.max_group));
-  }
   if (!evaluation.retain) return std::move(evaluation.verdict);
 
   // Retain for later accusations — in memory and, when a store is

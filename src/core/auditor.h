@@ -256,12 +256,6 @@ class Auditor {
   // params_.metrics, or the process-wide registry when unset).
   obs::Counter* duplicate_submissions_;
   obs::Counter* duplicate_registrations_;
-  // Batched-verification totals (published at commit time; see
-  // BatchVerifyStats for why not during evaluation).
-  obs::Counter* batch_groups_;
-  obs::Counter* batch_samples_;
-  obs::Counter* batch_fallbacks_;
-  obs::Gauge* batch_max_group_;
 
   /// Cached verdict for a previously accepted submission digest; counts a
   /// duplicate on hit.
@@ -282,24 +276,12 @@ class Auditor {
   void audit(double time, AuditEventType type, const std::string& subject,
              bool ok, const std::string& detail) const;
 
-  /// Batched-verification work done while evaluating one PoA. Carried on
-  /// the evaluation and published to the registry only at commit time, in
-  /// commit order, so metric snapshots stay byte-identical no matter how
-  /// many threads ran the (pure) evaluations.
-  struct BatchVerifyStats {
-    std::uint64_t groups = 0;     ///< product checks (flushes)
-    std::uint64_t samples = 0;    ///< signatures settled through batches
-    std::uint64_t fallbacks = 0;  ///< product mismatches -> per-sample scans
-    std::uint64_t max_group = 0;  ///< largest single flush
-  };
-
   /// Result of the side-effect-free half of PoA verification.
   struct PoaEvaluation {
     PoaVerdict verdict;
     bool retain = false;  ///< reached the retention point (accepted + ordered)
     ProofOfAlibi to_retain;
     std::vector<gps::GpsFix> retained_samples;
-    BatchVerifyStats batch;
   };
 
   /// Pure verification: signatures, decryption, sufficiency, thinning.
@@ -331,14 +313,9 @@ class Auditor {
 
   /// Decrypt + authenticate the samples of a PoA; on success fills
   /// `out_samples` with decoded fixes. Returns a failure detail or "".
-  /// RSA-per-sample signatures go through crypto::BatchRsaVerifier when
-  /// params_.batch_verify allows; the failure strings and the index of the
-  /// first reported failure are byte-identical to serial verification.
-  /// `stats` (may be null) accumulates the batching work performed.
   std::string authenticate_samples(const PoaView& poa,
                                    const DroneRecord& drone,
-                                   std::vector<gps::GpsFix>& out_samples,
-                                   BatchVerifyStats* stats = nullptr) const;
+                                   std::vector<gps::GpsFix>& out_samples) const;
 };
 
 }  // namespace alidrone::core

@@ -84,32 +84,6 @@ struct ProtocolParams {
   /// retained PoAs). Affects contention only — verdicts and audit logs are
   /// byte-identical for any value. Must be >= 1.
   std::size_t auditor_shards = 8;
-  /// Batched RSA-per-sample verification (crypto::BatchRsaVerifier): group
-  /// a PoA's signatures under its single TEE key and check a randomized
-  /// e-th-power product, falling back to per-sample checks on mismatch.
-  /// The Auditor only engages the batcher when its cost model predicts a
-  /// win over the serial RsaVerifyEngine (see batch_verify_check_bits);
-  /// verdicts and audit logs are byte-identical to serial either way.
-  bool batch_verify = true;
-  /// Below this many samples, batching buys nothing — verify serially.
-  std::size_t batch_verify_min_samples = 2;
-  /// Samples per product check; more amortizes the exponent ladder
-  /// further but raises the cost of a fallback.
-  std::size_t batch_verify_max_batch = 32;
-  /// Small-exponents challenge width (soundness error 2^-check_bits per
-  /// batch). Distinct per-item challenges are what make batch verdicts
-  /// match serial ones: the check_bits = 0 plain product test is
-  /// permutation-invariant — swapping two valid signatures between
-  /// samples leaves both products unchanged, so a batch passes where
-  /// serial verification rejects both samples (the repo's signature-swap
-  /// attack test demonstrates this). check_bits = 0 is therefore never
-  /// selected implicitly; it remains an explicit opt-in for deployments
-  /// that accept set-level authenticity. Challenges cost roughly
-  /// (check_bits + 3) multiplies per item against the serial ladder's
-  /// (e_bits + 2), so for e = 65537 (17 bits) the default 16-bit
-  /// challenges are not a win and the Auditor's cost gate falls back to
-  /// the serial engine; batching pays off for wider public exponents.
-  std::size_t batch_verify_check_bits = 16;
   /// --- TESLA broadcast mode (hash-chain PoA, ROADMAP item 2) ---
   /// Receive-time authority for the TESLA disclosure-delay security
   /// condition: a sample for interval i is admitted only while

@@ -1,7 +1,5 @@
 #include "core/streaming.h"
 
-#include <limits>
-
 #include "net/codec.h"
 #include "tee/sample_codec.h"
 
@@ -26,37 +24,27 @@ StreamingVerifier::SampleStatus StreamingVerifier::ingest(
   if (last_time_ && fix->unix_time < *last_time_) return SampleStatus::kOutOfOrder;
 
   // Lazily anchor the planar frame at the first sample.
-  if (!frame_) {
-    frame_.emplace(fix->position);
-    local_zones_.clear();
-    local_zones_.reserve(zones_.size());
+  if (!pairs_) {
+    const geo::LocalFrame frame(fix->position);
+    std::vector<geo::Circle> local_zones;
+    local_zones.reserve(zones_.size());
     for (const geo::GeoZone& z : zones_) {
-      local_zones_.push_back(geo::to_local(*frame_, z));
+      local_zones.push_back(geo::to_local(frame, z));
     }
+    pairs_.emplace(frame, std::move(local_zones), vmax_);
   }
-  const geo::Vec2 pos = frame_->to_local(fix->position);
   ++accepted_;
-
-  SampleStatus status = SampleStatus::kAccepted;
-  if (nearest_zone_boundary_distance(pos, local_zones_) < 0.0) {
-    ++violations_;
-    status = SampleStatus::kInsideZone;
-  } else if (last_pos_ && last_time_ && !local_zones_.empty()) {
-    const double allowed = vmax_ * (fix->unix_time - *last_time_);
-    double min_focal = std::numeric_limits<double>::infinity();
-    for (const geo::Circle& z : local_zones_) {
-      min_focal = std::min(min_focal,
-                           z.boundary_distance(*last_pos_) + z.boundary_distance(pos));
-    }
-    if (min_focal < allowed) {
-      ++violations_;
-      status = SampleStatus::kInsufficientPair;
-    }
-  }
-
-  last_pos_ = pos;
   last_time_ = fix->unix_time;
-  return status;
+
+  // Every accepted sample advances the pair test; a sample inside a zone
+  // reports that instead, and counts one violation either way.
+  const bool inside = nearest_zone_boundary_distance(
+                          pairs_->frame().to_local(fix->position),
+                          pairs_->zones()) < 0.0;
+  const bool insufficient = pairs_->add_sample(*fix);
+  if (!inside && !insufficient) return SampleStatus::kAccepted;
+  ++violations_;
+  return inside ? SampleStatus::kInsideZone : SampleStatus::kInsufficientPair;
 }
 
 StreamingUplink::StreamingUplink(net::Transport& bus, std::string endpoint,

@@ -56,9 +56,9 @@ class StreamingVerifier {
   std::vector<geo::GeoZone> zones_;
   double vmax_;
 
-  std::optional<geo::LocalFrame> frame_;
-  std::vector<geo::Circle> local_zones_;
-  std::optional<geo::Vec2> last_pos_;
+  /// Focal-pair test, built when the first accepted sample anchors the
+  /// planar frame.
+  std::optional<InsufficiencyCounter> pairs_;
   std::optional<double> last_time_;
   std::size_t accepted_ = 0;
   std::size_t violations_ = 0;

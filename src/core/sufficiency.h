@@ -52,6 +52,8 @@ class InsufficiencyCounter {
   bool add_sample(const gps::GpsFix& fix);
 
   int count() const { return count_; }
+  const geo::LocalFrame& frame() const { return frame_; }
+  const std::vector<geo::Circle>& zones() const { return zones_; }
 
  private:
   geo::LocalFrame frame_;

@@ -41,7 +41,7 @@ class BigInt {
   Bytes to_bytes(std::size_t length) const;
 
   /// 64-bit limbs needed for the magnitude (0 for zero) — the boundary
-  /// to the fixed-capacity limb64/SmallInt engine.
+  /// to the fixed-capacity limb64 kernels.
   std::size_t limb64_count() const { return (limbs_.size() + 1) / 2; }
   /// Magnitude into out[0..n) as little-endian 64-bit limbs, zero-padded;
   /// throws std::length_error when it needs more than n limbs.

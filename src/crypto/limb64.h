@@ -2,14 +2,13 @@
 //
 // Every routine operates on raw little-endian uint64_t limb spans with
 // caller-provided storage, so the verify hot path (MontgomeryContext,
-// RsaVerifyEngine, BatchRsaVerifier) runs entirely on stack or
-// preallocated buffers — zero heap allocations per operation, guarded by
-// the counting-operator-new check in bench_verify_throughput. Products
-// use 128-bit intermediates; the Montgomery product is the CIOS form of
-// REDC (Koc, Acar, Kaliski, "Analyzing and Comparing Montgomery
-// Multiplication Algorithms", 1996), which interleaves multiplication
-// and reduction in one k-limb pass instead of building the double-width
-// product first.
+// RsaVerifyEngine) runs entirely on stack or preallocated buffers — zero
+// heap allocations per operation, guarded by the counting-operator-new
+// check in bench_verify_throughput. Products use 128-bit intermediates;
+// the Montgomery product is the CIOS form of REDC (Koc, Acar, Kaliski,
+// "Analyzing and Comparing Montgomery Multiplication Algorithms", 1996),
+// which interleaves multiplication and reduction in one k-limb pass
+// instead of building the double-width product first.
 #pragma once
 
 #include <cstddef>

@@ -13,8 +13,8 @@
 // modulus and constants as flat uint64 limb arrays, and every operation
 // works in caller- or member-owned scratch, so the verify inner loop
 // performs zero heap allocations (guarded in bench_verify_throughput).
-// The BigInt methods below are the convenience boundary; hot paths
-// (RsaVerifyEngine, BatchRsaVerifier) use mont() directly.
+// The BigInt methods below are the convenience boundary; the hot path
+// (RsaVerifyEngine) uses mont() directly.
 #pragma once
 
 #include <cstdint>

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <stdexcept>
 
-#include "crypto/batch_verify.h"
 #include "crypto/prime.h"
 #include "crypto/sha1.h"
 #include "crypto/sha256.h"
@@ -271,6 +270,54 @@ Bytes rsa_sign_blinded(const RsaPrivateKey& key,
   const Bytes em = emsa_pkcs1_encode(message, hash, k);
   const BigInt s = rsa_private_op_blinded(key, BigInt::from_bytes(em), rng);
   return s.to_bytes(k);
+}
+
+bool RsaVerifyEngine::supports(const RsaPublicKey& key) {
+  return !key.n.is_negative() && key.n.is_odd() && key.n.bit_length() >= 128 &&
+         key.n.limb64_count() <= limb64::kMaxProtocolLimbs &&
+         !key.e.is_negative() && !key.e.is_zero() && key.e.bit_length() <= 64;
+}
+
+RsaVerifyEngine::RsaVerifyEngine(const RsaPublicKey& key) {
+  if (!supports(key)) {
+    throw std::invalid_argument("RsaVerifyEngine: unsupported key");
+  }
+  ctx_ = MontgomeryContextCache::global().get(key.n);
+  k_ = ctx_->limb_count();
+  mod_bytes_ = key.modulus_bytes();
+  key.e.to_limbs64(&e_, 1);
+  e_bits_ = key.e.bit_length();
+}
+
+bool RsaVerifyEngine::verify(std::span<const std::uint8_t> message,
+                             std::span<const std::uint8_t> signature,
+                             HashAlgorithm hash) {
+  if (signature.size() != mod_bytes_) return false;
+  const limb64::Mont& mont = ctx_->mont();
+  if (!limb64::from_bytes_be(signature.data(), signature.size(), base_, k_)) {
+    return false;
+  }
+  if (limb64::cmp_n(base_, mont.m, k_) >= 0) return false;  // s >= n
+  if (!emsa_pkcs1_encode_into(message, hash,
+                              std::span<std::uint8_t>(expected_, mod_bytes_))) {
+    return false;  // modulus too small for this digest
+  }
+
+  // acc = s^e, computed in the Montgomery domain (one shared R factor,
+  // removed by the final REDC). e is at most 64 bits — 65537 in practice
+  // — so plain square-and-multiply beats any window.
+  limb64::mont_mul(mont, base_, mont.r2, base_, t_);
+  std::copy(base_, base_ + k_, acc_);
+  for (std::size_t j = e_bits_ - 1; j-- > 0;) {
+    limb64::mont_mul(mont, acc_, acc_, acc_, t_);
+    if ((e_ >> j) & 1) limb64::mont_mul(mont, acc_, base_, acc_, t_);
+  }
+  limb64::redc(mont, acc_, acc_, t_);
+
+  limb64::to_bytes_be(acc_, k_, em_, mod_bytes_);  // result < n always fits
+  return constant_time_equal(
+      std::span<const std::uint8_t>(em_, mod_bytes_),
+      std::span<const std::uint8_t>(expected_, mod_bytes_));
 }
 
 bool rsa_verify(const RsaPublicKey& key, std::span<const std::uint8_t> message,

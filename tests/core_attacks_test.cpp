@@ -2,6 +2,8 @@
 // Operator can make must be rejected by the Auditor (Goal G3).
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/attacks.h"
 #include "core/auditor.h"
 #include "core/drone_client.h"
@@ -187,7 +189,34 @@ TEST_F(AttackFixture, SignatureSwapAcrossSamplesRejected) {
   ProofOfAlibi poa = honest_flight();
   ASSERT_GT(poa.samples.size(), 4u);
   std::swap(poa.samples[1].signature, poa.samples[2].signature);
-  EXPECT_FALSE(auditor_.verify_poa(poa, kT0 + 200).accepted);
+  const PoaVerdict verdict = auditor_.verify_poa(poa, kT0 + 200);
+  EXPECT_FALSE(verdict.accepted);
+  EXPECT_EQ(verdict.detail, "sample 1 signature invalid");
+}
+
+TEST_F(AttackFixture, ForgedSignatureMidPoaReportsItsIndex) {
+  // A valid signature from another sample, pasted mid-PoA: the verdict
+  // names exactly the sample that carries it.
+  ProofOfAlibi poa = honest_flight();
+  ASSERT_GT(poa.samples.size(), 4u);
+  const std::size_t victim = poa.samples.size() / 2;
+  poa.samples[victim].signature = poa.samples[0].signature;
+  const PoaVerdict verdict = auditor_.verify_poa(poa, kT0 + 200);
+  EXPECT_FALSE(verdict.accepted);
+  EXPECT_EQ(verdict.detail,
+            "sample " + std::to_string(victim) + " signature invalid");
+}
+
+TEST_F(AttackFixture, TwoForgeriesReportTheLowerIndex) {
+  ProofOfAlibi poa = honest_flight();
+  ASSERT_GT(poa.samples.size(), 4u);
+  const std::size_t victim = poa.samples.size() / 2;
+  poa.samples[victim].signature = poa.samples[0].signature;
+  poa.samples[victim + 1].signature = poa.samples[1].signature;
+  const PoaVerdict verdict = auditor_.verify_poa(poa, kT0 + 200);
+  EXPECT_FALSE(verdict.accepted);
+  EXPECT_EQ(verdict.detail,
+            "sample " + std::to_string(victim) + " signature invalid");
 }
 
 TEST_F(AttackFixture, MaliciousUartInjectionDocumentedLimitation) {
