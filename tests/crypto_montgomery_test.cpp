@@ -176,5 +176,25 @@ TEST(MontgomeryCache, GlobalCacheServesRepeatVerifies) {
   EXPECT_EQ(cache.misses(), misses_after_warmup);
 }
 
+TEST(MontgomeryCache, KeygenLeavesTheGlobalCacheAlone) {
+  // Miller-Rabin moduli are used once; routing them through the shared
+  // LRU would evict the verify keys it exists for.
+  MontgomeryContextCache& cache = MontgomeryContextCache::global();
+  cache.clear();
+  const BigInt hot = (BigInt(1) << 521) - BigInt(1);
+  const auto warm = cache.get(hot);
+  const std::uint64_t misses_before = cache.misses();
+  const std::uint64_t hits_before = cache.hits();
+
+  for (std::uint64_t seed = 0; seed < 4; ++seed) {
+    DeterministicRandom rng(seed);
+    generate_rsa_keypair(512, rng);
+  }
+  EXPECT_EQ(cache.misses(), misses_before);
+  EXPECT_EQ(cache.get(hot).get(), warm.get());
+  EXPECT_EQ(cache.hits(), hits_before + 1);
+  EXPECT_EQ(cache.misses(), misses_before);
+}
+
 }  // namespace
 }  // namespace alidrone::crypto

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <optional>
+#include <span>
 
 #include "crypto/prime.h"
 #include "crypto/rsa.h"
+#include "crypto/sha256.h"
 
 namespace alidrone::crypto {
 namespace {
@@ -65,6 +68,114 @@ TEST(Prime, TrialDivisionCatchesSmallFactors) {
   EXPECT_TRUE(passes_trial_division(BigInt::from_string("0xffffffffffffffc5")));
   // A small prime itself must pass.
   EXPECT_TRUE(passes_trial_division(BigInt(65521)));
+}
+
+// generate_prime before the window sieve: trial division on every
+// candidate, then is_probable_prime (which repeats it) on the survivors.
+// The sieved search must return the same prime and leave the RNG in the
+// same state, so every key made from a seed stays byte-identical.
+BigInt reference_generate_prime(std::size_t bits, RandomSource& rng) {
+  for (;;) {
+    BigInt candidate = rng.random_bits(bits);
+    if (candidate.is_even()) candidate += BigInt(1);
+    for (int step = 0; step < 512; ++step) {
+      if (candidate.bit_length() != bits) break;
+      if (passes_trial_division(candidate) && is_probable_prime(candidate, rng)) {
+        return candidate;
+      }
+      candidate += BigInt(2);
+    }
+  }
+}
+
+/// Serves one scripted draw (the search's first random start), then a
+/// seeded stream.
+class ScriptedStart final : public RandomSource {
+ public:
+  ScriptedStart(const BigInt& start, std::size_t bits, std::uint64_t seed)
+      : start_(start.to_bytes((bits + 7) / 8)), rest_(seed) {}
+
+  void fill(std::span<std::uint8_t> out) override {
+    if (!start_.empty()) {
+      ASSERT_EQ(out.size(), start_.size());
+      std::copy(start_.begin(), start_.end(), out.begin());
+      start_.clear();
+      return;
+    }
+    rest_.fill(out);
+  }
+
+ private:
+  Bytes start_;
+  DeterministicRandom rest_;
+};
+
+void expect_same_as_reference(std::size_t bits, RandomSource& sieved,
+                              RandomSource& reference) {
+  EXPECT_EQ(generate_prime(bits, sieved), reference_generate_prime(bits, reference))
+      << bits << " bits";
+  EXPECT_EQ(sieved.bytes(16), reference.bytes(16)) << bits << " bits";
+}
+
+TEST(Prime, SievedSearchMatchesTrialDivisionAtSmallSizes) {
+  // Up to 16 bits every window holds primes below 2^16, which divide
+  // only themselves and must stay candidates.
+  for (std::size_t bits = 8; bits <= 24; ++bits) {
+    for (std::uint64_t seed = 0; seed < 48; ++seed) {
+      SCOPED_TRACE(seed);
+      DeterministicRandom sieved(seed);
+      DeterministicRandom reference(seed);
+      expect_same_as_reference(bits, sieved, reference);
+    }
+  }
+}
+
+TEST(Prime, SievedSearchMatchesTrialDivisionAcrossTheTopOfTheRange) {
+  // Starts just below 2^bits: the walk crosses 2^bits and redraws.
+  for (std::size_t bits = 8; bits <= 24; ++bits) {
+    const BigInt top = BigInt(1) << bits;
+    for (std::uint64_t k = 0; k < 40; ++k) {
+      SCOPED_TRACE(k);
+      const BigInt start = top - BigInt(static_cast<std::int64_t>(2 * k + 1));
+      ScriptedStart sieved(start, bits, k);
+      ScriptedStart reference(start, bits, k);
+      expect_same_as_reference(bits, sieved, reference);
+    }
+  }
+}
+
+TEST(Prime, SievedSearchMatchesTrialDivisionAt256Bits) {
+  for (std::uint64_t seed = 0; seed < 12; ++seed) {
+    SCOPED_TRACE(seed);
+    DeterministicRandom sieved(seed);
+    DeterministicRandom reference(seed);
+    expect_same_as_reference(256, sieved, reference);
+  }
+}
+
+TEST(RsaKeygen, KnownAnswerKeys) {
+  // SHA-256(n || p || next 16 RNG bytes), recorded before the window sieve.
+  struct Case {
+    const char* seed;
+    std::size_t bits;
+    const char* digest;
+  };
+  const Case cases[] = {
+      {"keygen-kat-a", 512, "16bf9727055ea7402569e64ce7d17fab02048a634fae8e2baf31cf1b05459ac8"},
+      {"keygen-kat-a", 1024, "110cdf5370f468a72086672170ee776d1d4b2b27c7a19c79b53bf62730717cca"},
+      {"keygen-kat-b", 512, "dec2268469cd1ee78f839db97420b2b620a4a9abf26d410a2ab01fae3d1e6fad"},
+      {"keygen-kat-b", 1024, "91ba73904e2f9d6b59f665e75ebf23e34803b19d49a793bf591b7b38cf722c7e"},
+  };
+  for (const Case& c : cases) {
+    DeterministicRandom rng(c.seed);
+    const RsaKeyPair kp = generate_rsa_keypair(c.bits, rng);
+    Sha256 h;
+    h.update(kp.priv.n.to_bytes());
+    h.update(kp.priv.p.to_bytes());
+    h.update(rng.bytes(16));
+    const Sha256::Digest d = h.finalize();
+    EXPECT_EQ(to_hex(d), c.digest) << c.seed << " " << c.bits;
+  }
 }
 
 TEST(RsaKeygen, KeyPairInternallyConsistent) {
