@@ -128,22 +128,61 @@ void BM_PoaSerializeParse(benchmark::State& state) {
 }
 BENCHMARK(BM_PoaSerializeParse);
 
-void BM_SufficiencyCheck(benchmark::State& state) {
-  const sim::Scenario scenario = sim::make_residential_scenario(kT0);
-  // One decoded fix per second along the route.
+/// The residential drive, one decoded fix per second, against `n` zones:
+/// the first n of the 94 houses, then seeded extra 20 ft houses scattered
+/// over a 4 km square around the route.
+struct SufficiencySetup {
   std::vector<gps::GpsFix> fixes;
-  for (double t = scenario.route.start_time(); t <= scenario.route.end_time();
-       t += 1.0) {
-    fixes.push_back(scenario.route.state_at(t));
+  std::vector<geo::GeoZone> zones;
+
+  explicit SufficiencySetup(std::size_t n) {
+    const sim::Scenario scenario = sim::make_residential_scenario(kT0);
+    for (double t = scenario.route.start_time(); t <= scenario.route.end_time();
+         t += 1.0) {
+      fixes.push_back(scenario.route.state_at(t));
+    }
+    zones.assign(scenario.zones.begin(),
+                 scenario.zones.begin() +
+                     static_cast<std::ptrdiff_t>(std::min(n, scenario.zones.size())));
+    crypto::DeterministicRandom rng("sufficiency-bench-houses");
+    while (zones.size() < n) {
+      const geo::Vec2 p{4000.0 * rng.uniform_double() - 2000.0,
+                        4000.0 * rng.uniform_double() - 2000.0};
+      zones.push_back({scenario.frame.to_geo(p), scenario.zones.front().radius_m});
+    }
   }
+};
+
+void BM_SufficiencyCheck(benchmark::State& state) {
+  const SufficiencySetup s(static_cast<std::size_t>(state.range(0)));
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        core::check_sufficiency(fixes, scenario.zones, geo::kFaaMaxSpeedMps));
+        core::check_sufficiency(s.fixes, s.zones, geo::kFaaMaxSpeedMps));
   }
-  state.counters["pairs"] = static_cast<double>(fixes.size() - 1);
-  state.counters["zones"] = static_cast<double>(scenario.zones.size());
+  state.counters["pairs"] = static_cast<double>(s.fixes.size() - 1);
+  state.counters["zones"] = static_cast<double>(s.zones.size());
 }
-BENCHMARK(BM_SufficiencyCheck)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_SufficiencyCheck)
+    ->ArgName("zones")
+    ->Arg(1)
+    ->Arg(94)
+    ->Arg(1000)
+    ->Arg(10000)
+    ->Unit(benchmark::kMicrosecond);
+
+/// The same 94 houses as 10 m-high cylinders (Section VII-B1).
+void BM_SufficiencyCheck3d(benchmark::State& state) {
+  const SufficiencySetup s(static_cast<std::size_t>(state.range(0)));
+  std::vector<geo::GeoZone3> cylinders;
+  for (const geo::GeoZone& z : s.zones) cylinders.push_back({z.center, z.radius_m, 10.0});
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(
+        core::check_sufficiency_3d(s.fixes, cylinders, geo::kFaaMaxSpeedMps));
+  }
+  state.counters["pairs"] = static_cast<double>(s.fixes.size() - 1);
+  state.counters["zones"] = static_cast<double>(cylinders.size());
+}
+BENCHMARK(BM_SufficiencyCheck3d)->ArgName("zones")->Arg(94)->Unit(benchmark::kMicrosecond);
 
 /// Zone-query scaling: spatial index vs linear scan at B4UFLY-like sizes.
 struct ZoneDb {

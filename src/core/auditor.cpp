@@ -210,11 +210,7 @@ RegisterDroneResponse Auditor::register_drone(const RegisterDroneRequest& reques
 }
 
 RegisterZoneResponse Auditor::register_zone(const RegisterZoneRequest& request) {
-  if (request.zone.radius_m <= 0.0) return {};
-  if (std::abs(request.zone.center.lat_deg) > 90.0 ||
-      std::abs(request.zone.center.lon_deg) > 180.0) {
-    return {};
-  }
+  if (!geo::is_valid_zone(request.zone)) return {};
   crypto::RsaPublicKey owner_key{crypto::BigInt::from_bytes(request.owner_key_n),
                                  crypto::BigInt::from_bytes(request.owner_key_e)};
   if (owner_key.modulus_bits() < 512) return {};
@@ -241,7 +237,7 @@ RegisterZoneResponse Auditor::register_zone(const RegisterZoneRequest& request) 
 
 RegisterZoneResponse Auditor::register_zone_3d(const RegisterZoneRequest& request,
                                                double ceiling_m) {
-  if (ceiling_m <= 0.0) return {};
+  if (!geo::is_valid_ceiling(ceiling_m)) return {};
   RegisterZoneResponse response = register_zone(request);
   if (response.ok) {
     std::lock_guard<std::mutex> reg_lock(registration_mu_);
@@ -276,9 +272,11 @@ RegisterZoneResponse Auditor::register_polygon_zone(
   for (const geo::GeoPoint& v : vertices) pts.push_back(frame.to_local(v));
   const geo::Circle cover = geo::smallest_enclosing_circle(pts);
 
+  const geo::GeoZone covering{frame.to_geo(cover.center), cover.radius};
+  if (!geo::is_valid_zone(covering)) return {};
+
   std::lock_guard<std::mutex> reg_lock(registration_mu_);
   ZoneId id = "zone-" + std::to_string(next_zone_number_++);
-  const geo::GeoZone covering{frame.to_geo(cover.center), cover.radius};
   {
     std::unique_lock<std::shared_mutex> lock(zones_mu_);
     zones_[id] = ZoneRecord{id, covering, owner_key, description, {}};
@@ -476,8 +474,9 @@ Auditor::PoaEvaluation Auditor::evaluate_poa(const PoaView& poa) const {
   verdict.accepted = true;
 
   // Planar zones use the paper's eq. (1); cylinder zones (the Section
-  // VII-B1 extension) use the altitude-aware ellipsoid check. Both read
-  // the immutable shapes snapshot — no allocation, no zone lock.
+  // VII-B1 extension) use the altitude-aware ellipsoid check, and each
+  // list counts its own violations. Both read the immutable shapes
+  // snapshot — no zone lock.
   const auto shapes = zone_shapes();
   const SufficiencyReport planar =
       check_sufficiency(samples, shapes->planar, params_.vmax_mps);
@@ -486,12 +485,8 @@ Auditor::PoaEvaluation Auditor::evaluate_poa(const PoaView& poa) const {
     verdict.detail = "samples not time-ordered";
     return evaluation;
   }
-  SufficiencyReport volumetric;
-  volumetric.well_formed = true;
-  volumetric.sufficient = true;
-  if (!shapes->cylinders.empty()) {
-    volumetric = check_sufficiency_3d(samples, shapes->cylinders, params_.vmax_mps);
-  }
+  const SufficiencyReport volumetric =
+      check_sufficiency_3d(samples, shapes->cylinders, params_.vmax_mps);
 
   verdict.compliant = planar.sufficient && volumetric.sufficient;
   verdict.violation_count = static_cast<std::uint32_t>(planar.violations.size() +
@@ -732,10 +727,14 @@ std::optional<AccusationResponse> Auditor::adjudicate(
       incident_time > samples.back().unix_time) {
     return std::nullopt;
   }
-  // Check eq. (1) for this zone across the whole covered flight: any
-  // insufficient pair near the zone breaks the alibi.
+  // Check eq. (1) for this zone, in its registered shape, across the whole
+  // covered flight: any insufficient pair near the zone breaks the alibi.
   const SufficiencyReport report =
-      check_sufficiency(samples, {zone.zone}, params_.vmax_mps);
+      zone.ceiling_m
+          ? check_sufficiency_3d(
+                samples, {{zone.zone.center, zone.zone.radius_m, *zone.ceiling_m}},
+                params_.vmax_mps)
+          : check_sufficiency(samples, {zone.zone}, params_.vmax_mps);
   if (report.well_formed && report.sufficient) {
     return AccusationResponse{true, true, "retained PoA proves non-entrance"};
   }

@@ -105,11 +105,13 @@ std::optional<RegistryStore::Snapshot> RegistryStore::load() const {
         !has_ceiling || !ceiling) {
       return std::nullopt;
     }
-    ZoneRecord record{*id,
-                      geo::GeoZone{{*lat, *lon}, *radius},
-                      std::move(*owner_key),
-                      std::move(*description),
-                      {}};
+    // Geometry the Auditor would refuse to register is corruption.
+    const geo::GeoZone zone{{*lat, *lon}, *radius};
+    if (!geo::is_valid_zone(zone) || *has_ceiling > 1 ||
+        (*has_ceiling == 1 && !geo::is_valid_ceiling(*ceiling))) {
+      return std::nullopt;
+    }
+    ZoneRecord record{*id, zone, std::move(*owner_key), std::move(*description), {}};
     if (*has_ceiling == 1) record.ceiling_m = *ceiling;
     snapshot.zones[*id] = std::move(record);
   }

@@ -1,7 +1,6 @@
 #include "core/sampler.h"
 
 #include <cstdio>
-#include <limits>
 
 namespace alidrone::core {
 
@@ -9,34 +8,29 @@ AdaptiveSampler::AdaptiveSampler(geo::LocalFrame frame,
                                  std::vector<geo::Circle> local_zones,
                                  double vmax_mps, double update_rate_hz)
     : frame_(frame),
-      zones_(std::move(local_zones)),
+      kernel_(std::move(local_zones)),
       vmax_(vmax_mps),
       update_period_(1.0 / update_rate_hz) {}
 
 bool AdaptiveSampler::should_authenticate(const gps::GpsFix& fix) {
   ++checks_;
   if (!has_last_) return true;  // S_0: anchor the alibi
-  if (zones_.empty()) return false;
-
-  const geo::Vec2 pos = frame_.to_local(fix.position);
 
   // FindNearestZone: nearest by focal sum D1 + D2, since that is the
-  // binding constraint in conditions (2)/(3).
-  double focal = std::numeric_limits<double>::infinity();
-  for (const geo::Circle& z : zones_) {
-    focal = std::min(focal, z.boundary_distance(last_pos_) + z.boundary_distance(pos));
-  }
+  // binding constraint in conditions (2)/(3). Without zones neither holds.
+  const auto pair = kernel_.probe(frame_.to_local(fix.position));
 
   const double elapsed = fix.unix_time - last_time_;
-  const bool sufficient_now = focal >= vmax_ * elapsed;            // (2)
-  const bool urgent = focal < vmax_ * (elapsed + 2.0 * update_period_);  // (3)
+  const bool sufficient_now = !kernel_.insufficient(pair, vmax_ * elapsed);  // (2)
+  const bool urgent =
+      kernel_.insufficient(pair, vmax_ * (elapsed + 2.0 * update_period_));  // (3)
   if (!sufficient_now) return true;  // already late: record best effort
   return urgent;
 }
 
 void AdaptiveSampler::on_recorded(const gps::GpsFix& fix) {
   has_last_ = true;
-  last_pos_ = frame_.to_local(fix.position);
+  kernel_.anchor(frame_.to_local(fix.position));
   last_time_ = fix.unix_time;
 }
 

@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/sufficiency.h"
 #include "geo/circle.h"
 #include "geo/geopoint.h"
 #include "gps/fix.h"
@@ -55,11 +56,10 @@ class AdaptiveSampler final : public SamplingPolicy {
 
  private:
   geo::LocalFrame frame_;
-  std::vector<geo::Circle> zones_;
+  FocalPairKernel<geo::Circle> kernel_;  ///< anchored at the last recorded fix
   double vmax_;
   double update_period_;
   bool has_last_ = false;
-  geo::Vec2 last_pos_{};
   double last_time_ = 0.0;
   std::uint64_t checks_ = 0;
 };

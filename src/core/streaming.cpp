@@ -26,25 +26,17 @@ StreamingVerifier::SampleStatus StreamingVerifier::ingest(
   // Lazily anchor the planar frame at the first sample.
   if (!pairs_) {
     const geo::LocalFrame frame(fix->position);
-    std::vector<geo::Circle> local_zones;
-    local_zones.reserve(zones_.size());
-    for (const geo::GeoZone& z : zones_) {
-      local_zones.push_back(geo::to_local(frame, z));
-    }
-    pairs_.emplace(frame, std::move(local_zones), vmax_);
+    pairs_.emplace(frame, geo::to_local(frame, zones_), vmax_);
   }
   ++accepted_;
   last_time_ = fix->unix_time;
 
   // Every accepted sample advances the pair test; a sample inside a zone
   // reports that instead, and counts one violation either way.
-  const bool inside = nearest_zone_boundary_distance(
-                          pairs_->frame().to_local(fix->position),
-                          pairs_->zones()) < 0.0;
-  const bool insufficient = pairs_->add_sample(*fix);
-  if (!inside && !insufficient) return SampleStatus::kAccepted;
+  const InsufficiencyCounter::Step step = pairs_->add_sample(*fix);
+  if (!step.inside && !step.insufficient) return SampleStatus::kAccepted;
   ++violations_;
-  return inside ? SampleStatus::kInsideZone : SampleStatus::kInsufficientPair;
+  return step.inside ? SampleStatus::kInsideZone : SampleStatus::kInsufficientPair;
 }
 
 StreamingUplink::StreamingUplink(net::Transport& bus, std::string endpoint,

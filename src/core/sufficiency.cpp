@@ -1,12 +1,22 @@
 #include "core/sufficiency.h"
 
-#include <limits>
-
 namespace alidrone::core {
 
-SufficiencyReport check_sufficiency(const std::vector<gps::GpsFix>& samples,
-                                    const std::vector<geo::GeoZone>& zones,
-                                    double vmax_mps) {
+namespace {
+
+geo::Vec2 locate(const geo::LocalFrame& frame, const gps::GpsFix& fix, geo::Vec2) {
+  return frame.to_local(fix.position);
+}
+
+geo::Vec3 locate(const geo::LocalFrame& frame, const gps::GpsFix& fix, geo::Vec3) {
+  const geo::Vec2 q = frame.to_local(fix.position);
+  return {q.x, q.y, fix.altitude_m};
+}
+
+/// Eq. (1) over time-ordered samples against geodetic zones of one shape.
+template <class GeoShape>
+SufficiencyReport check_shape(const std::vector<gps::GpsFix>& samples,
+                              const std::vector<GeoShape>& zones, double vmax_mps) {
   SufficiencyReport report;
   if (samples.empty()) return report;
 
@@ -17,112 +27,64 @@ SufficiencyReport check_sufficiency(const std::vector<gps::GpsFix>& samples,
   report.well_formed = true;
 
   const geo::LocalFrame frame(samples.front().position);
-  std::vector<geo::Circle> local_zones;
-  local_zones.reserve(zones.size());
-  for (const geo::GeoZone& z : zones) local_zones.push_back(geo::to_local(frame, z));
+  FocalPairKernel kernel(geo::to_local(frame, zones));
+  using Point = decltype(kernel)::Point;
 
   // A sample recorded inside a zone is a violation on its own (the drone
-  // was provably there), independent of any pair.
+  // was provably there), independent of any pair; those are listed first.
+  std::vector<InsufficientPair> pairs;
   for (std::size_t i = 0; i < samples.size(); ++i) {
-    const geo::Vec2 p = frame.to_local(samples[i].position);
-    for (std::size_t zi = 0; zi < local_zones.size(); ++zi) {
-      const double d = local_zones[zi].boundary_distance(p);
-      if (d < 0.0) report.violations.push_back({i, zi, d, 0.0});
-    }
-  }
-
-  for (std::size_t i = 0; i + 1 < samples.size(); ++i) {
-    const geo::Vec2 p1 = frame.to_local(samples[i].position);
-    const geo::Vec2 p2 = frame.to_local(samples[i + 1].position);
-    const double allowed = vmax_mps * (samples[i + 1].unix_time - samples[i].unix_time);
-
-    // Only the nearest zone can violate (its focal sum is minimal).
-    double min_focal = std::numeric_limits<double>::infinity();
-    std::size_t min_zone = 0;
-    for (std::size_t zi = 0; zi < local_zones.size(); ++zi) {
-      const double d1 = local_zones[zi].boundary_distance(p1);
-      const double d2 = local_zones[zi].boundary_distance(p2);
-      const double focal = d1 + d2;
-      if (focal < min_focal) {
-        min_focal = focal;
-        min_zone = zi;
+    const auto probe = kernel.probe(locate(frame, samples[i], Point{}));
+    if (probe.inside) {
+      const std::span<const double> d = kernel.probe_distances();
+      for (std::size_t zi = 0; zi < d.size(); ++zi) {
+        if (d[zi] < 0.0) report.violations.push_back({i, zi, d[zi], 0.0});
       }
     }
-    if (!local_zones.empty() && min_focal < allowed) {
-      report.violations.push_back({i, min_zone, min_focal, allowed});
+    if (i > 0) {
+      const double allowed = vmax_mps * (samples[i].unix_time - samples[i - 1].unix_time);
+      if (kernel.insufficient(probe, allowed)) {
+        pairs.push_back({i - 1, probe.zone_index, probe.focal_sum_m, allowed});
+      }
     }
+    kernel.advance();
   }
+  report.violations.insert(report.violations.end(), pairs.begin(), pairs.end());
 
   report.sufficient = report.violations.empty();
   return report;
 }
 
-InsufficiencyCounter::InsufficiencyCounter(const geo::LocalFrame& frame,
-                                           std::vector<geo::Circle> local_zones,
-                                           double vmax_mps)
-    : frame_(frame), zones_(std::move(local_zones)), vmax_(vmax_mps) {}
+}  // namespace
 
-bool InsufficiencyCounter::add_sample(const gps::GpsFix& fix) {
-  const geo::Vec2 pos = frame_.to_local(fix.position);
-  bool insufficient = false;
-  if (has_prev_ && !zones_.empty()) {
-    const double allowed = vmax_ * (fix.unix_time - prev_time_);
-    double min_focal = std::numeric_limits<double>::infinity();
-    for (const geo::Circle& z : zones_) {
-      min_focal = std::min(min_focal,
-                           z.boundary_distance(prev_pos_) + z.boundary_distance(pos));
-    }
-    if (min_focal < allowed) {
-      insufficient = true;
-      ++count_;
-    }
-  }
-  has_prev_ = true;
-  prev_pos_ = pos;
-  prev_time_ = fix.unix_time;
-  return insufficient;
+SufficiencyReport check_sufficiency(const std::vector<gps::GpsFix>& samples,
+                                    const std::vector<geo::GeoZone>& zones,
+                                    double vmax_mps) {
+  return check_shape(samples, zones, vmax_mps);
 }
 
 SufficiencyReport check_sufficiency_3d(const std::vector<gps::GpsFix>& samples,
                                        const std::vector<geo::GeoZone3>& zones,
                                        double vmax_mps) {
-  SufficiencyReport report;
-  if (samples.empty()) return report;
-  for (std::size_t i = 1; i < samples.size(); ++i) {
-    if (samples[i].unix_time < samples[i - 1].unix_time) return report;
-  }
-  report.well_formed = true;
+  return check_shape(samples, zones, vmax_mps);
+}
 
-  const geo::LocalFrame frame(samples.front().position);
-  std::vector<geo::Cylinder> cylinders;
-  cylinders.reserve(zones.size());
-  for (const geo::GeoZone3& z : zones) {
-    cylinders.push_back({frame.to_local(z.center), z.radius_m, z.ceiling_m});
-  }
+InsufficiencyCounter::InsufficiencyCounter(const geo::LocalFrame& frame,
+                                           std::vector<geo::Circle> local_zones,
+                                           double vmax_mps)
+    : frame_(frame), kernel_(std::move(local_zones)), vmax_(vmax_mps) {}
 
-  for (std::size_t i = 0; i + 1 < samples.size(); ++i) {
-    const geo::Vec2 q1 = frame.to_local(samples[i].position);
-    const geo::Vec2 q2 = frame.to_local(samples[i + 1].position);
-    const geo::Vec3 p1{q1.x, q1.y, samples[i].altitude_m};
-    const geo::Vec3 p2{q2.x, q2.y, samples[i + 1].altitude_m};
-    const double allowed = vmax_mps * (samples[i + 1].unix_time - samples[i].unix_time);
-
-    double min_focal = std::numeric_limits<double>::infinity();
-    std::size_t min_zone = 0;
-    for (std::size_t zi = 0; zi < cylinders.size(); ++zi) {
-      const double focal =
-          cylinders[zi].distance_to(p1) + cylinders[zi].distance_to(p2);
-      if (focal < min_focal) {
-        min_focal = focal;
-        min_zone = zi;
-      }
-    }
-    if (!cylinders.empty() && min_focal < allowed) {
-      report.violations.push_back({i, min_zone, min_focal, allowed});
-    }
+InsufficiencyCounter::Step InsufficiencyCounter::add_sample(const gps::GpsFix& fix) {
+  const auto probe = kernel_.probe(frame_.to_local(fix.position));
+  Step step{probe.inside, false};
+  if (has_prev_ && kernel_.insufficient(probe, vmax_ * (fix.unix_time - prev_time_))) {
+    step.insufficient = true;
+    ++count_;
   }
-  report.sufficient = report.violations.empty();
-  return report;
+  kernel_.advance();
+  has_prev_ = true;
+  prev_time_ = fix.unix_time;
+  return step;
 }
 
 double nearest_zone_boundary_distance(const geo::Vec2& position,

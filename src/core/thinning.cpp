@@ -1,27 +1,6 @@
 #include "core/thinning.h"
 
-#include <limits>
-
 namespace alidrone::core {
-
-namespace {
-
-/// Focal-distance sufficiency of the pair (i, j) against all zones.
-bool pair_sufficient(const std::vector<geo::Vec2>& positions,
-                     const std::vector<double>& times,
-                     const std::vector<geo::Circle>& zones, double vmax,
-                     std::size_t i, std::size_t j) {
-  if (zones.empty()) return true;
-  const double allowed = vmax * (times[j] - times[i]);
-  double min_focal = std::numeric_limits<double>::infinity();
-  for (const geo::Circle& z : zones) {
-    min_focal = std::min(min_focal, z.boundary_distance(positions[i]) +
-                                        z.boundary_distance(positions[j]));
-  }
-  return min_focal >= allowed;
-}
-
-}  // namespace
 
 ThinningResult thin_samples(const std::vector<gps::GpsFix>& samples,
                             const std::vector<geo::GeoZone>& zones,
@@ -31,17 +10,7 @@ ThinningResult thin_samples(const std::vector<gps::GpsFix>& samples,
   if (samples.empty()) return result;
 
   const geo::LocalFrame frame(samples.front().position);
-  std::vector<geo::Vec2> positions;
-  std::vector<double> times;
-  positions.reserve(samples.size());
-  times.reserve(samples.size());
-  for (const gps::GpsFix& s : samples) {
-    positions.push_back(frame.to_local(s.position));
-    times.push_back(s.unix_time);
-  }
-  std::vector<geo::Circle> local_zones;
-  local_zones.reserve(zones.size());
-  for (const geo::GeoZone& z : zones) local_zones.push_back(geo::to_local(frame, z));
+  FocalPairKernel<geo::Circle> kernel(geo::to_local(frame, zones));
 
   result.input_sufficient =
       check_sufficiency(samples, zones, vmax_mps).sufficient;
@@ -54,10 +23,11 @@ ThinningResult thin_samples(const std::vector<gps::GpsFix>& samples,
   std::size_t i = 0;
   while (i + 1 < samples.size()) {
     std::size_t best = i + 1;
+    kernel.anchor(frame.to_local(samples[i].position));
     for (std::size_t j = i + 1; j < samples.size(); ++j) {
-      if (pair_sufficient(positions, times, local_zones, vmax_mps, i, j)) {
-        best = j;
-      }
+      const double allowed = vmax_mps * (samples[j].unix_time - samples[i].unix_time);
+      const auto pair = kernel.probe(frame.to_local(samples[j].position));
+      if (!kernel.insufficient(pair, allowed)) best = j;
       // No early break: sufficiency is not monotone in j when the drone
       // turns back toward a zone, and candidates are cheap to test.
     }

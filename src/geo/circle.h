@@ -9,6 +9,8 @@ namespace alidrone::geo {
 
 /// A disk in the local frame: the paper's planar no-fly-zone shape.
 struct Circle {
+  using Point = Vec2;
+
   Vec2 center;
   double radius = 0.0;
 

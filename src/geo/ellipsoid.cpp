@@ -5,9 +5,13 @@
 
 namespace alidrone::geo {
 
-double Cylinder::distance_to(Vec3 p) const {
+double Cylinder::boundary_distance(Vec3 p) const {
   const Vec2 q{p.x, p.y};
-  const double radial = std::max(0.0, distance(q, center) - radius);
+  const double wall = distance(q, center) - radius;
+  if (wall <= 0.0 && p.z >= 0.0 && p.z <= height) {
+    return -std::min(-wall, height - p.z);
+  }
+  const double radial = std::max(0.0, wall);
   double axial = 0.0;
   if (p.z < 0.0) {
     axial = -p.z;

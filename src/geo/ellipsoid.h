@@ -8,6 +8,8 @@
 // the spheroid and cylinder are disjoint.
 #pragma once
 
+#include <algorithm>
+
 #include "geo/vec2.h"
 
 namespace alidrone::geo {
@@ -15,6 +17,8 @@ namespace alidrone::geo {
 /// A solid upright cylinder: base disk of `radius` centered at (center.x,
 /// center.y, 0), extending from altitude 0 up to `height`.
 struct Cylinder {
+  using Point = Vec3;
+
   Vec2 center;
   double radius = 0.0;
   double height = 0.0;
@@ -25,8 +29,13 @@ struct Cylinder {
     return distance2(q, center) <= radius * radius;
   }
 
+  /// Signed distance from `p` to the cylinder's boundary: the Euclidean
+  /// distance outside; inside, minus the distance to the side wall or the
+  /// ceiling, whichever is nearer (the ground is not an exit).
+  double boundary_distance(Vec3 p) const;
+
   /// Euclidean distance from `p` to the (closed, solid) cylinder; 0 inside.
-  double distance_to(Vec3 p) const;
+  double distance_to(Vec3 p) const { return std::max(0.0, boundary_distance(p)); }
 
   /// Closest point of the cylinder to `p` (is `p` itself when inside).
   Vec3 project(Vec3 p) const;

@@ -215,15 +215,14 @@ CampaignReport run_campaign(const CampaignConfig& config) {
   crypto::DeterministicRandom owner_rng(seed_tag(config.seed, 0, "owner"));
   core::ZoneOwner owner(kTestKeyBits, owner_rng);
   std::vector<geo::GeoZone> zones;
-  std::vector<geo::Circle> local_zones;
   for (std::size_t family = 0; family < 3; ++family) {
     const geo::GeoZone zone{frame.to_geo(family_zone_center(family)),
                             kZoneRadiusM};
     owner.register_zone(bus, zone,
                         std::string(kFamilyNames[family]) + " exclusion zone");
     zones.push_back(zone);
-    local_zones.push_back(geo::to_local(frame, zone));
   }
+  const std::vector<geo::Circle> local_zones = geo::to_local(frame, zones);
 
   // ---- The replay donor: one honest pre-campaign flight whose PoA the
   // replay operators relabel. Registered first, so fleet drone ids are

@@ -8,10 +8,7 @@
 namespace alidrone::sim {
 
 std::vector<geo::Circle> Scenario::local_zones() const {
-  std::vector<geo::Circle> out;
-  out.reserve(zones.size());
-  for (const geo::GeoZone& z : zones) out.push_back(geo::to_local(frame, z));
-  return out;
+  return geo::to_local(frame, zones);
 }
 
 Scenario make_airport_scenario(double start_time) {

@@ -3,8 +3,10 @@
 // cylinder zones (VII-B1) and file-backed PoA retention.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 
 #include "core/auditor.h"
 #include "core/drone_client.h"
@@ -57,6 +59,36 @@ class ExtensionFixture : public ::testing::Test {
     config.local_zones = scenario_.local_zones();
     config.auth_mode = mode;
     config.auditor_encryption_key = auditor_.encryption_key();
+    return client_.fly(receiver, policy, config);
+  }
+
+  /// A 60 m cylinder on the airport route.
+  ZoneId register_cylinder() {
+    const geo::Vec2 mid = scenario_.route.local_position_at(kT0 + 60.0);
+    const RegisterZoneRequest request = owner_.make_zone_request(
+        {scenario_.frame.to_geo(mid), 30.0}, "low cylinder");
+    const RegisterZoneResponse created = auditor_.register_zone_3d(request, 60.0);
+    EXPECT_TRUE(created.ok);
+    return created.zone_id;
+  }
+
+  /// A 5 Hz flight along the route at a fixed altitude (samples must be
+  /// TEE-signed, so the receiver itself reports the altitude).
+  ProofOfAlibi fly_at_altitude(double altitude_m) {
+    gps::GpsReceiverSim::Config rc;
+    rc.update_rate_hz = 5.0;
+    rc.start_time = scenario_.route.start_time();
+    rc.emit_gga = true;
+    const sim::Route& route = scenario_.route;
+    gps::GpsReceiverSim receiver(rc, [&route, altitude_m](double t) {
+      gps::GpsFix f = route.state_at(t);
+      f.altitude_m = altitude_m;
+      return f;
+    });
+    FixedRateSampler policy(5.0, scenario_.route.start_time());
+    FlightConfig config;
+    config.end_time = scenario_.route.start_time() + 120.0;
+    config.frame = scenario_.frame;
     return client_.fly(receiver, policy, config);
   }
 
@@ -144,61 +176,39 @@ TEST_F(ExtensionFixture, BatchDroppedSampleBreaksBatchSignature) {
 // ---- Section VII-B1: cylinder zones through the Auditor ----
 
 TEST_F(ExtensionFixture, OverflightAboveCylinderCeilingIsCompliant) {
-  // Register a cylinder zone (ceiling 60 m) directly on the flight path.
-  const geo::Vec2 mid = scenario_.route.local_position_at(kT0 + 60.0);
-  RegisterZoneRequest request = owner_.make_zone_request(
-      {scenario_.frame.to_geo(mid), 30.0}, "low cylinder");
-  const RegisterZoneResponse created = auditor_.register_zone_3d(request, 60.0);
-  ASSERT_TRUE(created.ok);
-
-  // Hand-build a PoA whose samples carry 300 m altitude over that spot.
-  // (Samples must be TEE-signed, so fly a receiver that reports altitude.)
-  gps::GpsReceiverSim::Config rc;
-  rc.update_rate_hz = 5.0;
-  rc.start_time = scenario_.route.start_time();
-  rc.emit_gga = true;
-  const sim::Route& route = scenario_.route;
-  gps::GpsReceiverSim receiver(rc, [&route](double t) {
-    gps::GpsFix f = route.state_at(t);
-    f.altitude_m = 300.0;
-    return f;
-  });
-  FixedRateSampler policy(5.0, scenario_.route.start_time());
-  FlightConfig config;
-  config.end_time = scenario_.route.start_time() + 120.0;
-  config.frame = scenario_.frame;
-  const ProofOfAlibi poa = client_.fly(receiver, policy, config);
-
-  const PoaVerdict verdict = auditor_.verify_poa(poa, kT0 + 200);
+  register_cylinder();
+  const PoaVerdict verdict = auditor_.verify_poa(fly_at_altitude(300.0), kT0 + 200);
   EXPECT_TRUE(verdict.accepted) << verdict.detail;
   EXPECT_TRUE(verdict.compliant) << "altitude should clear the cylinder";
 }
 
 TEST_F(ExtensionFixture, LowFlightThroughCylinderIsViolation) {
-  const geo::Vec2 mid = scenario_.route.local_position_at(kT0 + 60.0);
-  RegisterZoneRequest request = owner_.make_zone_request(
-      {scenario_.frame.to_geo(mid), 30.0}, "low cylinder");
-  ASSERT_TRUE(auditor_.register_zone_3d(request, 60.0).ok);
-
-  gps::GpsReceiverSim::Config rc;
-  rc.update_rate_hz = 5.0;
-  rc.start_time = scenario_.route.start_time();
-  rc.emit_gga = true;
-  const sim::Route& route = scenario_.route;
-  gps::GpsReceiverSim receiver(rc, [&route](double t) {
-    gps::GpsFix f = route.state_at(t);
-    f.altitude_m = 20.0;  // under the 60 m ceiling
-    return f;
-  });
-  FixedRateSampler policy(5.0, scenario_.route.start_time());
-  FlightConfig config;
-  config.end_time = scenario_.route.start_time() + 120.0;
-  config.frame = scenario_.frame;
-  const ProofOfAlibi poa = client_.fly(receiver, policy, config);
-
-  const PoaVerdict verdict = auditor_.verify_poa(poa, kT0 + 200);
+  register_cylinder();
+  // Under the 60 m ceiling.
+  const PoaVerdict verdict = auditor_.verify_poa(fly_at_altitude(20.0), kT0 + 200);
   EXPECT_TRUE(verdict.accepted);
   EXPECT_FALSE(verdict.compliant);
+}
+
+TEST_F(ExtensionFixture, AccusationUsesTheRegisteredCylinder) {
+  // The flight verification cleared above the ceiling also answers an
+  // accusation against that cylinder, not against its planar footprint.
+  const ZoneId zone_id = register_cylinder();
+  ASSERT_TRUE(auditor_.verify_poa(fly_at_altitude(300.0), kT0 + 200).compliant);
+  const AccusationResponse response = auditor_.handle_accusation(
+      owner_.make_accusation(zone_id, client_.id(), kT0 + 60.0));
+  EXPECT_TRUE(response.ok);
+  EXPECT_TRUE(response.alibi_holds);
+  EXPECT_EQ(response.detail, "retained PoA proves non-entrance");
+}
+
+TEST_F(ExtensionFixture, AccusationAgainstCylinderStillCatchesLowFlight) {
+  const ZoneId zone_id = register_cylinder();
+  ASSERT_FALSE(auditor_.verify_poa(fly_at_altitude(20.0), kT0 + 200).compliant);
+  const AccusationResponse response = auditor_.handle_accusation(
+      owner_.make_accusation(zone_id, client_.id(), kT0 + 60.0));
+  EXPECT_TRUE(response.ok);
+  EXPECT_FALSE(response.alibi_holds);
 }
 
 TEST_F(ExtensionFixture, Register3dRejectsNonPositiveCeiling) {
@@ -206,6 +216,38 @@ TEST_F(ExtensionFixture, Register3dRejectsNonPositiveCeiling) {
       owner_.make_zone_request({{40.1, -88.2}, 30.0}, "bad");
   EXPECT_FALSE(auditor_.register_zone_3d(request, 0.0).ok);
   EXPECT_FALSE(auditor_.register_zone_3d(request, -5.0).ok);
+}
+
+TEST_F(ExtensionFixture, Register3dRejectsNanCeiling) {
+  const RegisterZoneRequest request =
+      owner_.make_zone_request({{40.1, -88.2}, 30.0}, "bad");
+  EXPECT_FALSE(auditor_.register_zone_3d(request, std::nan("")).ok);
+}
+
+TEST_F(ExtensionFixture, Register3dRejectsInfiniteCeiling) {
+  const RegisterZoneRequest request =
+      owner_.make_zone_request({{40.1, -88.2}, 30.0}, "bad");
+  EXPECT_FALSE(auditor_.register_zone_3d(
+                   request, std::numeric_limits<double>::infinity()).ok);
+}
+
+TEST_F(ExtensionFixture, RegisterZoneRejectsNanLatitude) {
+  EXPECT_FALSE(auditor_.register_zone(
+      owner_.make_zone_request({{std::nan(""), -88.2}, 30.0}, "bad")).ok);
+}
+
+TEST_F(ExtensionFixture, RegisterZoneRejectsNanRadius) {
+  EXPECT_FALSE(auditor_.register_zone(
+      owner_.make_zone_request({{40.1, -88.2}, std::nan("")}, "bad")).ok);
+}
+
+TEST_F(ExtensionFixture, RegisterZoneRejectsInfiniteRadius) {
+  const geo::GeoZone everywhere{{40.1, -88.2}, std::numeric_limits<double>::infinity()};
+  EXPECT_FALSE(auditor_.register_zone(owner_.make_zone_request(everywhere, "bad")).ok);
+  // Accepted, it would have made every flight non-compliant.
+  const PoaVerdict verdict = auditor_.verify_poa(fly_with_mode(AuthMode::kRsaPerSample),
+                                                 kT0 + 200);
+  EXPECT_TRUE(verdict.compliant) << verdict.violation_count;
 }
 
 // ---- File-backed PoA retention ----

@@ -201,6 +201,36 @@ TEST(Sufficiency3d, LowFlightThroughCylinderCaught) {
   EXPECT_FALSE(check_sufficiency_3d(samples, {cylinder}, geo::kFaaMaxSpeedMps).sufficient);
 }
 
+TEST(Sufficiency3d, SampleInsideCylinderIsViolation) {
+  const geo::LocalFrame frame(kAnchor);
+  gps::GpsFix f = make_fix(0, 0, kT0);
+  f.altitude_m = 10.0;  // at the centre, under the 100 m ceiling
+  const geo::GeoZone3 cylinder{frame.to_geo({0, 0}), 50.0, 100.0};
+  const SufficiencyReport report =
+      check_sufficiency_3d({f}, {cylinder}, geo::kFaaMaxSpeedMps);
+  EXPECT_TRUE(report.well_formed);
+  EXPECT_FALSE(report.sufficient);
+  ASSERT_EQ(report.violations.size(), 1u);
+  EXPECT_EQ(report.violations[0].first_index, 0u);
+  EXPECT_DOUBLE_EQ(report.violations[0].focal_sum_m, -50.0);  // nearest exit: the wall
+}
+
+TEST(Sufficiency3d, SameTimestampSamplesInsideCylinderInsufficient) {
+  const geo::LocalFrame frame(kAnchor);
+  gps::GpsFix f = make_fix(0, 0, kT0);
+  f.altitude_m = 10.0;
+  const std::vector<gps::GpsFix> samples{f, f};
+  const geo::GeoZone3 cylinder{frame.to_geo({0, 0}), 50.0, 100.0};
+  const SufficiencyReport volumetric =
+      check_sufficiency_3d(samples, {cylinder}, geo::kFaaMaxSpeedMps);
+  const SufficiencyReport planar = check_sufficiency(
+      samples, {{cylinder.center, cylinder.radius_m}}, geo::kFaaMaxSpeedMps);
+  EXPECT_FALSE(volumetric.sufficient);
+  // Two inside samples plus the zero-slack pair, as in the plane.
+  EXPECT_EQ(volumetric.violations.size(), 3u);
+  EXPECT_EQ(volumetric.violations.size(), planar.violations.size());
+}
+
 TEST(NearestZoneDistance, InfinityWithoutZones) {
   EXPECT_TRUE(std::isinf(nearest_zone_boundary_distance({0, 0}, {})));
   const std::vector<geo::Circle> zones{{{30, 40}, 10.0}};

@@ -306,6 +306,15 @@ TEST_F(ProtocolFixture, PolygonZoneRejectsBadSignatureOrTooFewVertices) {
       auditor_.register_polygon_zone(tri, owner_.public_key(), sig, "lot").ok);
 }
 
+TEST_F(ProtocolFixture, PolygonZoneRejectsCoverRegistrationWouldRefuse) {
+  // Three identical vertices cover a zero-radius circle, which a restarted
+  // Auditor's registry load would refuse.
+  const std::vector<geo::GeoPoint> point{{40.0, -88.0}, {40.0, -88.0}, {40.0, -88.0}};
+  const crypto::Bytes sig = owner_.sign_polygon(point, "lot");
+  EXPECT_FALSE(
+      auditor_.register_polygon_zone(point, owner_.public_key(), sig, "lot").ok);
+}
+
 TEST_F(ProtocolFixture, TransportDropSurfacesAsTimeout) {
   ASSERT_TRUE(client_.register_with_auditor(bus_));
   net::MessageBus::FaultConfig faults;

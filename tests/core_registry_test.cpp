@@ -2,8 +2,11 @@
 // restarts through RegistryStore, including 3D ceilings and id counters.
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
+#include <limits>
+#include <optional>
 #include <unistd.h>
 
 #include "core/auditor.h"
@@ -67,6 +70,48 @@ TEST_F(RegistryFixture, CorruptFileLoadsAsNullopt) {
     bad << "garbage";
   }
   EXPECT_FALSE(RegistryStore(file_).load().has_value());
+}
+
+/// A one-zone snapshot written as-is: save() does not validate.
+void save_zone(const std::filesystem::path& file, geo::GeoZone zone,
+               std::optional<double> ceiling_m) {
+  crypto::DeterministicRandom rng("registry-geometry");
+  RegistryStore::Snapshot snapshot;
+  snapshot.zones["zone-1"] = ZoneRecord{
+      "zone-1", zone, crypto::generate_rsa_keypair(512, rng).pub, "lot", ceiling_m};
+  RegistryStore(file).save(snapshot);
+}
+
+TEST_F(RegistryFixture, LoadRejectsCeilingFlagOtherThanZeroOrOne) {
+  save_zone(file_, {{40.1, -88.2}, 33.0}, 55.0);
+  ASSERT_TRUE(RegistryStore(file_).load().has_value());
+  // The record ends with [has_ceiling u8][ceiling f64].
+  std::fstream io(file_, std::ios::binary | std::ios::in | std::ios::out);
+  io.seekp(-9, std::ios::end);
+  io.put(2);
+  io.close();
+  EXPECT_FALSE(RegistryStore(file_).load().has_value());
+}
+
+TEST_F(RegistryFixture, LoadRejectsGeometryRegistrationRefuses) {
+  const double nan = std::nan("");
+  const double inf = std::numeric_limits<double>::infinity();
+  const struct {
+    geo::GeoZone zone;
+    std::optional<double> ceiling_m;
+  } cases[] = {
+      {{{nan, -88.2}, 33.0}, {}},  {{{40.1, nan}, 33.0}, {}},
+      {{{91.0, -88.2}, 33.0}, {}}, {{{40.1, -88.2}, nan}, {}},
+      {{{40.1, -88.2}, inf}, {}},  {{{40.1, -88.2}, 0.0}, {}},
+      {{{40.1, -88.2}, 33.0}, nan}, {{{40.1, -88.2}, 33.0}, inf},
+      {{{40.1, -88.2}, 33.0}, 0.0},
+  };
+  for (const auto& c : cases) {
+    save_zone(file_, c.zone, c.ceiling_m);
+    EXPECT_FALSE(RegistryStore(file_).load().has_value())
+        << c.zone.center.lat_deg << " " << c.zone.center.lon_deg << " "
+        << c.zone.radius_m << " " << c.ceiling_m.value_or(-1.0);
+  }
 }
 
 TEST_F(RegistryFixture, AuditorRestartKeepsIdentitiesAndCounters) {

@@ -3,9 +3,14 @@
 // that justifies the paper's end-of-flight choice.
 #include <gtest/gtest.h>
 
+#include <memory>
+
+#include "core/auditor.h"
+#include "core/drone_client.h"
 #include "core/flight.h"
 #include "core/sampler.h"
 #include "core/streaming.h"
+#include "core/zone_owner.h"
 #include "geo/units.h"
 #include "gps/receiver_sim.h"
 #include "net/codec.h"
@@ -188,42 +193,76 @@ TEST(StreamingUplink, StreamingCostsMoreEnergyThanBatchUpload) {
 }
 
 // Equivalence: streaming the samples of a full flight through the
-// incremental verifier yields exactly the pairwise violations the batch
-// checker (eq. 1) reports on the same trace.
+// incremental verifier reaches the Auditor's verdict on the same PoA, for
+// both field-study scenarios at 2 Hz, 5 Hz and adaptive sampling. No
+// sample enters a zone on these routes, so the violation counts of the
+// stream, the batch checker (eq. 1) and the Auditor agree too.
 TEST(StreamingVerifier, AgreesWithBatchSufficiencyChecker) {
-  const sim::Scenario scenario = sim::make_residential_scenario(kT0 + 10000);
-
   tee::DroneTee::Config config;
   config.key_bits = 512;
   config.manufacturing_seed = "streaming-equivalence-device";
   tee::DroneTee tee(config);
 
-  gps::GpsReceiverSim::Config rc;
-  rc.update_rate_hz = 5.0;
-  rc.start_time = scenario.route.start_time();
-  gps::GpsReceiverSim receiver(rc, scenario.route.as_position_source());
-  // Deliberately undersample (2 Hz fixed) so violations exist.
-  FixedRateSampler policy(2.0, rc.start_time);
-  FlightConfig flight;
-  flight.end_time = scenario.route.end_time();
-  flight.frame = scenario.frame;
-  flight.local_zones = scenario.local_zones();
-  const FlightResult result = run_flight(tee, receiver, policy, flight);
+  const struct {
+    std::string name;
+    sim::Scenario scenario;
+  } cases[] = {{"residential", sim::make_residential_scenario(kT0 + 10000)},
+               {"airport", sim::make_airport_scenario(kT0 + 20000)}};
+  for (const auto& [name, scenario] : cases) {
+    crypto::DeterministicRandom auditor_rng("streaming-equivalence-auditor");
+    crypto::DeterministicRandom owner_rng("streaming-equivalence-owner");
+    crypto::DeterministicRandom operator_rng("streaming-equivalence-operator");
+    net::MessageBus bus;
+    Auditor auditor(512, auditor_rng);
+    auditor.bind(bus);
+    ZoneOwner owner(512, owner_rng);
+    for (const geo::GeoZone& z : scenario.zones) {
+      ASSERT_FALSE(owner.register_zone(bus, z, name).empty());
+    }
+    DroneClient client(tee, 512, operator_rng);
+    ASSERT_TRUE(client.register_with_auditor(bus));
 
-  StreamingVerifier verifier(tee.verification_key(), crypto::HashAlgorithm::kSha1,
-                             scenario.zones, geo::kFaaMaxSpeedMps);
-  std::vector<gps::GpsFix> fixes;
-  for (const SignedSample& s : result.poa_samples) {
-    verifier.ingest(s);
-    if (const auto f = s.fix()) fixes.push_back(*f);
+    for (const std::string rate : {"2", "5", "adaptive"}) {
+      SCOPED_TRACE(name + " " + rate);
+      gps::GpsReceiverSim::Config rc;
+      rc.update_rate_hz = 5.0;
+      rc.start_time = scenario.route.start_time();
+      gps::GpsReceiverSim receiver(rc, scenario.route.as_position_source());
+      std::unique_ptr<SamplingPolicy> policy;
+      if (rate == "adaptive") {
+        policy = std::make_unique<AdaptiveSampler>(scenario.frame, scenario.local_zones(),
+                                                   geo::kFaaMaxSpeedMps, 5.0);
+      } else {
+        policy = std::make_unique<FixedRateSampler>(std::stod(rate), rc.start_time);
+      }
+      FlightConfig flight;
+      flight.end_time = scenario.route.end_time();
+      flight.frame = scenario.frame;
+      flight.local_zones = scenario.local_zones();
+      const ProofOfAlibi poa = client.fly(receiver, *policy, flight);
+
+      StreamingVerifier verifier(tee.verification_key(), poa.hash, scenario.zones,
+                                 geo::kFaaMaxSpeedMps);
+      std::vector<gps::GpsFix> fixes;
+      for (const SignedSample& s : poa.samples) {
+        verifier.ingest(s);
+        if (const auto f = s.fix()) fixes.push_back(*f);
+      }
+      const SufficiencyReport batch =
+          check_sufficiency(fixes, scenario.zones, geo::kFaaMaxSpeedMps);
+      const PoaVerdict verdict = auditor.verify_poa(poa, scenario.route.end_time() + 100);
+
+      ASSERT_TRUE(verdict.accepted) << verdict.detail;
+      EXPECT_EQ(verifier.accepted(), poa.samples.size());
+      EXPECT_EQ(verifier.compliant_so_far(), verdict.compliant);
+      EXPECT_EQ(verifier.compliant_so_far(), batch.sufficient);
+      EXPECT_EQ(verifier.violations(), batch.violations.size());
+      EXPECT_EQ(verifier.violations(), verdict.violation_count);
+      if (name == "residential" && rate == "2") {
+        EXPECT_GT(verifier.violations(), 0u);  // the 2 Hz undersampling shows up
+      }
+    }
   }
-
-  const SufficiencyReport batch =
-      check_sufficiency(fixes, scenario.zones, geo::kFaaMaxSpeedMps);
-  EXPECT_EQ(verifier.accepted(), result.poa_samples.size());
-  EXPECT_EQ(verifier.violations(), batch.violations.size());
-  EXPECT_GT(verifier.violations(), 0u);  // the 2 Hz undersampling shows up
-  EXPECT_EQ(verifier.compliant_so_far(), batch.sufficient);
 }
 
 }  // namespace

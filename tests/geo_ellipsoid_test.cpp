@@ -20,6 +20,19 @@ TEST(Cylinder, ContainsAndDistance) {
   EXPECT_DOUBLE_EQ(cyl.distance_to({13, 0, 54}), 5.0);
 }
 
+TEST(Cylinder, BoundaryDistanceIsNegativeInside) {
+  const Cylinder cyl{{0, 0}, 10.0, 50.0};
+  // Outside it is the Euclidean distance to the solid.
+  EXPECT_DOUBLE_EQ(cyl.boundary_distance({13, 0, 54}), 5.0);
+  EXPECT_DOUBLE_EQ(cyl.boundary_distance({0, 0, -2}), 2.0);
+  // Inside, minus the nearer of the side wall and the ceiling; the ground
+  // is not an exit.
+  EXPECT_DOUBLE_EQ(cyl.boundary_distance({0, 0, 10}), -10.0);  // wall
+  EXPECT_DOUBLE_EQ(cyl.boundary_distance({0, 0, 45}), -5.0);   // ceiling
+  EXPECT_DOUBLE_EQ(cyl.boundary_distance({0, 0, 0}), -10.0);   // on the ground
+  EXPECT_DOUBLE_EQ(cyl.boundary_distance({10, 0, 20}), 0.0);   // on the wall
+}
+
 TEST(Cylinder, ProjectClampsIntoSolid) {
   const Cylinder cyl{{0, 0}, 10.0, 50.0};
   const Vec3 p = cyl.project({20, 0, 70});
