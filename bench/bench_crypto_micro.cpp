@@ -10,6 +10,7 @@
 #include "crypto/ecdsa.h"
 #include "crypto/hash_chain.h"
 #include "crypto/hmac.h"
+#include "crypto/montgomery.h"
 #include "crypto/prime.h"
 #include "crypto/rsa.h"
 #include "crypto/sha1.h"
@@ -266,6 +267,32 @@ void BM_TeslaFrontierAccept(benchmark::State& state) {
 BENCHMARK(BM_TeslaFrontierAccept)->Arg(1024)->Arg(16384)
     ->Unit(benchmark::kMicrosecond);
 
+/// One limb64::mont_mul at k limbs (64k-bit odd modulus, top bit set):
+/// the kernel under every RSA sign, verify and Miller-Rabin round. The
+/// product feeds the next one, so each iteration waits on the last, as
+/// in an exponentiation. k = 4 and 8 are the CRT primes and moduli of a
+/// 512-bit key.
+void BM_MontMul(benchmark::State& state) {
+  const std::size_t k = static_cast<std::size_t>(state.range(0));
+  DeterministicRandom rng("bench-montmul");
+  const BigInt m = (BigInt(1) << (64 * k - 1)) +
+                   rng.random_bits(64 * k - 2) * BigInt(2) + BigInt(1);
+  const MontgomeryContext ctx(m);
+  const limb64::Mont& mont = ctx.mont();
+  std::vector<limb64::Limb> acc(k), b(k), t(k + 2);
+  ctx.to_mont(rng.random_range(BigInt(0), m - BigInt(1))).to_limbs64(acc.data(), k);
+  ctx.to_mont(rng.random_range(BigInt(0), m - BigInt(1))).to_limbs64(b.data(), k);
+  for (auto _ : state) {
+    limb64::mont_mul(mont, acc.data(), b.data(), acc.data(), t.data());
+    benchmark::DoNotOptimize(acc.data());
+    benchmark::ClobberMemory();
+  }
+}
+BENCHMARK(BM_MontMul)->Arg(4)->Arg(8)->Arg(16)->Arg(32);
+
+/// Despite the name, is_probable_prime's full cost on a known prime:
+/// trial division by the 6,542 primes below 2^16, then 16 Miller-Rabin
+/// rounds (an accepted keygen prime pays 32 rounds and no division).
 void BM_MillerRabin(benchmark::State& state) {
   DeterministicRandom rng("bench-mr");
   const BigInt prime = generate_prime(static_cast<std::size_t>(state.range(0)), rng);

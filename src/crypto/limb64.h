@@ -4,11 +4,11 @@
 // caller-provided storage, so the verify hot path (MontgomeryContext,
 // RsaVerifyEngine) runs entirely on stack or preallocated buffers — zero
 // heap allocations per operation, guarded by the counting-operator-new
-// check in bench_verify_throughput. Products use 128-bit intermediates;
-// the Montgomery product is the CIOS form of REDC (Koc, Acar, Kaliski,
-// "Analyzing and Comparing Montgomery Multiplication Algorithms", 1996),
-// which interleaves multiplication and reduction in one k-limb pass
-// instead of building the double-width product first.
+// ctest crypto_alloc_guard_test (label perf-guard). Products use 128-bit
+// intermediates; the Montgomery product is the CIOS form of REDC (Koc,
+// Acar, Kaliski, "Analyzing and Comparing Montgomery Multiplication
+// Algorithms", 1996), which interleaves multiplication and reduction in
+// one k-limb pass instead of building the double-width product first.
 #pragma once
 
 #include <cstddef>
@@ -102,11 +102,18 @@ struct Mont {
   const Limb* one = nullptr; ///< R mod m (1 in Montgomery form)
 };
 
-/// out = a * b * R^-1 mod m for k-limb fixed-width a, b (CIOS). out may
-/// alias a or b; t is k + 2 limbs of scratch.
-inline void mont_mul(const Mont& mont, const Limb* a, const Limb* b, Limb* out,
-                     Limb* t) {
-  const std::size_t k = mont.k;
+/// out = a * b * R^-1 mod m for k-limb a, b with a * b < R * m (either
+/// operand < m suffices), fully reduced (< m). One CIOS body for every
+/// width: K > 0 fixes k = K at compile time, so the loops unroll and the
+/// k + 2 scratch limbs live in a local array the compiler can keep in
+/// registers; K == 0 reads mont.k and works in the caller's scratch.
+/// Call mont_mul, which picks the instantiation.
+template <std::size_t K>
+inline void mont_mul_k(const Mont& mont, const Limb* a, const Limb* b,
+                       Limb* out, Limb* scratch) {
+  const std::size_t k = K > 0 ? K : mont.k;
+  Limb local[K > 0 ? K + 2 : 1] = {};
+  Limb* t = K > 0 ? local : scratch;
   const Limb* m = mont.m;
   for (std::size_t i = 0; i <= k + 1; ++i) t[i] = 0;
   for (std::size_t i = 0; i < k; ++i) {
@@ -140,6 +147,24 @@ inline void mont_mul(const Mont& mont, const Limb* a, const Limb* b, Limb* out,
     sub_n(out, t, m, k);
   } else {
     for (std::size_t j = 0; j < k; ++j) out[j] = t[j];
+  }
+}
+
+/// out = a * b * R^-1 mod m for k-limb fixed-width a, b (CIOS). out may
+/// alias a or b; t is k + 2 limbs of scratch. 256- and 512-bit moduli
+/// (k = 4 and 8: the CRT primes and moduli of every 512-bit key) take a
+/// fixed-width instantiation. Instantiating k = 16 or 32 gained 5% or
+/// less (BM_MontMul, docs/PERFORMANCE.md), so every other width takes
+/// the run-time loop.
+inline void mont_mul(const Mont& mont, const Limb* a, const Limb* b, Limb* out,
+                     Limb* t) {
+  switch (mont.k) {
+    case 4:
+      return mont_mul_k<4>(mont, a, b, out, t);
+    case 8:
+      return mont_mul_k<8>(mont, a, b, out, t);
+    default:
+      return mont_mul_k<0>(mont, a, b, out, t);
   }
 }
 

@@ -12,7 +12,7 @@
 // multiply-interleaved REDC, 128-bit products): contexts precompute the
 // modulus and constants as flat uint64 limb arrays, and every operation
 // works in caller- or member-owned scratch, so the verify inner loop
-// performs zero heap allocations (guarded in bench_verify_throughput).
+// performs zero heap allocations (guarded by crypto_alloc_guard_test).
 // The BigInt methods below are the convenience boundary; the hot path
 // (RsaVerifyEngine) uses mont() directly.
 #pragma once

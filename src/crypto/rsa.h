@@ -98,8 +98,9 @@ bool emsa_pkcs1_encode_into(std::span<const std::uint8_t> message,
 
 /// Per-key RSASSA-PKCS1-v1_5 verifier with preallocated working state:
 /// verify() runs entirely on fixed member limb buffers over the limb64
-/// CIOS kernels, with zero heap allocations per call (guarded by the
-/// counting-operator-new check in bench_verify_throughput) and verdicts
+/// CIOS kernels, with zero heap allocations per call (guarded at 512 to
+/// 4096 bits by the counting-operator-new ctest crypto_alloc_guard_test,
+/// label perf-guard) and verdicts
 /// byte-identical to the generic BigInt path. Immutable key data is
 /// shared through the MontgomeryContextCache; the member buffers make
 /// verify() NOT thread-safe — use one engine per thread (they are cheap:

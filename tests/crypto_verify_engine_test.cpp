@@ -1,8 +1,9 @@
 // Differential suite for the fixed-capacity 64-bit verify path: the
-// limb64 Montgomery kernels are checked limb-for-limb against the general
-// BigInt path at 1024/2048/4096 bits, the allocation-free RsaVerifyEngine
-// against rsa_verify, and engines sharing one cached Montgomery context
-// are run concurrently (tsan label).
+// limb64 Montgomery kernels are checked limb-for-limb against the run-time
+// width loop and the general BigInt path at 1-9, 16, 32 and 64 limbs,
+// the allocation-free RsaVerifyEngine against rsa_verify, and engines
+// sharing one cached Montgomery context are run concurrently (tsan
+// label).
 #include <gtest/gtest.h>
 
 #include <thread>
@@ -26,39 +27,91 @@ BigInt odd_modulus(DeterministicRandom& rng, std::size_t bits) {
 
 // ---- limb64 Montgomery kernels vs BigInt ----
 
-TEST(Limb64, DifferentialMontgomeryKernels) {
-  DeterministicRandom rng("smallint-mont");
-  for (const std::size_t bits : {1024u, 2048u, 4096u}) {
-    const BigInt m = odd_modulus(rng, bits);
+// Plain square-and-multiply over BigInt division: a reference that shares
+// no code with the Montgomery path.
+BigInt reference_pow(const BigInt& base, const BigInt& e, const BigInt& m) {
+  BigInt r = BigInt(1).mod(m);
+  for (std::size_t i = e.bit_length(); i-- > 0;) {
+    r = (r * r).mod(m);
+    if (e.bit(i)) r = (r * base).mod(m);
+  }
+  return r;
+}
+
+// Every width K the dispatcher may pick is checked bit for bit against the
+// run-time loop (K == 0), the dispatcher itself and BigInt, in place and
+// out of place. Moduli: a random one with the top bit set, one whose top
+// limb is all ones and R - 1, where t[k] carries and the final
+// subtraction fires. Operands: 0, 1, m - 1 and random values below m.
+template <std::size_t K>
+void check_kernel_width(DeterministicRandom& rng) {
+  const std::size_t bits = 64 * K;
+  const BigInt r = BigInt(1) << bits;
+  const BigInt top_ones = (BigInt(1) << 64) - BigInt(1);
+  std::vector<BigInt> moduli = {r - BigInt(1), odd_modulus(rng, bits)};
+  if (K > 1) {
+    moduli.push_back((top_ones << (bits - 64)) +
+                     rng.random_bits(bits - 65) * BigInt(2) + BigInt(1));
+  }
+  for (const BigInt& m : moduli) {
+    SCOPED_TRACE(::testing::Message() << "k=" << K << " m=" << m.to_hex_string());
     const MontgomeryContext ctx(m);
+    ASSERT_EQ(ctx.limb_count(), K);
     const limb64::Mont& mont = ctx.mont();
-    const std::size_t k = ctx.limb_count();
-    std::vector<Limb> a_hat(k), b_hat(k), out(k), t(k + 2);
+    const BigInt r_inv = r.mod(m).mod_inverse(m);
 
-    for (int iter = 0; iter < 10; ++iter) {
-      const BigInt a = rng.random_range(BigInt(0), m - BigInt(1));
-      const BigInt b = rng.random_range(BigInt(0), m - BigInt(1));
-
-      // mont_mul over raw limbs: from_mont(a-hat * b-hat) == a*b mod m.
-      ctx.to_mont(a).to_limbs64(a_hat.data(), k);
-      ctx.to_mont(b).to_limbs64(b_hat.data(), k);
-      limb64::mont_mul(mont, a_hat.data(), b_hat.data(), out.data(), t.data());
-      limb64::redc(mont, out.data(), out.data(), t.data());
-      EXPECT_EQ(BigInt::from_limbs64(out.data(), k), (a * b).mod(m)) << bits;
+    std::vector<BigInt> operands = {BigInt(0), BigInt(1), m - BigInt(1)};
+    for (int i = 0; i < 5; ++i) {
+      operands.push_back(rng.random_range(BigInt(0), m - BigInt(1)));
+    }
+    std::vector<Limb> a(K), b(K), generic(K), fixed(K), dispatched(K),
+        in_place(K), t(K + 2);
+    for (const BigInt& x : operands) {
+      for (const BigInt& y : operands) {
+        x.to_limbs64(a.data(), K);
+        y.to_limbs64(b.data(), K);
+        limb64::mont_mul_k<0>(mont, a.data(), b.data(), generic.data(), t.data());
+        limb64::mont_mul_k<K>(mont, a.data(), b.data(), fixed.data(), t.data());
+        limb64::mont_mul(mont, a.data(), b.data(), dispatched.data(), t.data());
+        in_place = a;
+        limb64::mont_mul_k<K>(mont, in_place.data(), b.data(), in_place.data(),
+                              t.data());
+        EXPECT_EQ(fixed, generic);
+        EXPECT_EQ(dispatched, generic);
+        EXPECT_EQ(in_place, generic);
+        EXPECT_EQ(BigInt::from_limbs64(generic.data(), K),
+                  (x * y).mod(m) * r_inv % m);
+      }
+      // Squaring with every argument aliased, as the exponentiation loops
+      // call it.
+      x.to_limbs64(a.data(), K);
+      limb64::mont_mul_k<0>(mont, a.data(), a.data(), generic.data(), t.data());
+      limb64::mont_mul_k<K>(mont, a.data(), a.data(), a.data(), t.data());
+      EXPECT_EQ(a, generic);
 
       // redc inverts to_mont exactly.
-      limb64::redc(mont, a_hat.data(), out.data(), t.data());
-      EXPECT_EQ(BigInt::from_limbs64(out.data(), k), a) << bits;
+      ctx.to_mont(x).to_limbs64(a.data(), K);
+      limb64::redc(mont, a.data(), a.data(), t.data());
+      EXPECT_EQ(BigInt::from_limbs64(a.data(), K), x);
     }
 
-    // modexp: windowed (wide exponent) and square-multiply (<= 64 bits)
-    // paths against BigInt::mod_pow.
-    const BigInt base = rng.random_range(BigInt(0), m - BigInt(1));
+    // modexp: square-multiply (<= 64 bits) and windowed (wide exponent).
+    const BigInt base = operands.back();
     for (const std::size_t ebits : {40u, 256u}) {
       const BigInt e = rng.random_bits(ebits);
-      EXPECT_EQ(ctx.pow(base, e), base.mod_pow(e, m)) << bits << ":" << ebits;
+      EXPECT_EQ(ctx.pow(base, e), reference_pow(base, e, m)) << ebits;
     }
   }
+}
+
+template <std::size_t... Ks>
+void check_kernel_widths(DeterministicRandom& rng) {
+  (check_kernel_width<Ks>(rng), ...);
+}
+
+TEST(Limb64, DifferentialMontgomeryKernels) {
+  DeterministicRandom rng("smallint-mont");
+  check_kernel_widths<1, 2, 3, 4, 5, 6, 7, 8, 9, 16, 32, 64>(rng);
 }
 
 // ---- RsaVerifyEngine vs rsa_verify ----
