@@ -280,8 +280,8 @@ void BM_MontMul(benchmark::State& state) {
   const MontgomeryContext ctx(m);
   const limb64::Mont& mont = ctx.mont();
   std::vector<limb64::Limb> acc(k), b(k), t(k + 2);
-  ctx.to_mont(rng.random_range(BigInt(0), m - BigInt(1))).to_limbs64(acc.data(), k);
-  ctx.to_mont(rng.random_range(BigInt(0), m - BigInt(1))).to_limbs64(b.data(), k);
+  ctx.load(ctx.to_mont(rng.random_range(BigInt(0), m - BigInt(1))), acc.data());
+  ctx.load(ctx.to_mont(rng.random_range(BigInt(0), m - BigInt(1))), b.data());
   for (auto _ : state) {
     limb64::mont_mul(mont, acc.data(), b.data(), acc.data(), t.data());
     benchmark::DoNotOptimize(acc.data());

@@ -9,18 +9,28 @@
 namespace alidrone::crypto {
 
 namespace {
-constexpr std::uint64_t kBase = 1ull << 32;
+
+using limb64::Limb;
+using limb64::Wide;
+
+/// q = a / d over n limbs (q may alias a); returns a mod d. One 128-by-64
+/// division per limb.
+Limb div_limb(Limb* q, const Limb* a, std::size_t n, Limb d) {
+  Limb rem = 0;
+  for (std::size_t i = n; i-- > 0;) {
+    const Wide cur = (static_cast<Wide>(rem) << 64) | a[i];
+    q[i] = static_cast<Limb>(cur / d);
+    rem = static_cast<Limb>(cur - static_cast<Wide>(q[i]) * d);
+  }
+  return rem;
 }
 
-BigInt::BigInt(std::int64_t value) {
-  negative_ = value < 0;
+}  // namespace
+
+BigInt::BigInt(std::int64_t value) : negative_(value < 0) {
   // Careful with INT64_MIN: negate in unsigned space.
-  std::uint64_t mag =
-      negative_ ? ~static_cast<std::uint64_t>(value) + 1 : static_cast<std::uint64_t>(value);
-  while (mag != 0) {
-    limbs_.push_back(static_cast<std::uint32_t>(mag & 0xFFFFFFFFu));
-    mag >>= 32;
-  }
+  const Limb mag = negative_ ? ~static_cast<Limb>(value) + 1 : static_cast<Limb>(value);
+  if (mag != 0) limbs_.push_back(mag);
 }
 
 void BigInt::trim() {
@@ -68,69 +78,42 @@ BigInt BigInt::from_string(std::string_view s) {
 
 BigInt BigInt::from_bytes(std::span<const std::uint8_t> be_bytes) {
   BigInt result;
-  const std::size_t n = be_bytes.size();
-  result.limbs_.assign((n + 3) / 4, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    // be_bytes[i] is the (n-1-i)-th byte counted from the least significant.
-    const std::size_t byte_index = n - 1 - i;
-    result.limbs_[byte_index / 4] |=
-        static_cast<std::uint32_t>(be_bytes[i]) << (8 * (byte_index % 4));
-  }
+  result.limbs_.resize((be_bytes.size() + 7) / 8);
+  limb64::from_bytes_be(be_bytes.data(), be_bytes.size(), result.limbs_.data(),
+                        result.limbs_.size());
+  result.trim();
+  return result;
+}
+
+BigInt BigInt::from_limbs(std::span<const Limb> limbs) {
+  BigInt result;
+  result.limbs_.assign(limbs.begin(), limbs.end());
   result.trim();
   return result;
 }
 
 std::size_t BigInt::bit_length() const {
   if (limbs_.empty()) return 0;
-  return (limbs_.size() - 1) * 32 +
-         (32 - static_cast<std::size_t>(std::countl_zero(limbs_.back())));
+  return (limbs_.size() - 1) * 64 +
+         (64 - static_cast<std::size_t>(std::countl_zero(limbs_.back())));
 }
 
 bool BigInt::bit(std::size_t i) const {
-  const std::size_t limb = i / 32;
+  const std::size_t limb = i / 64;
   if (limb >= limbs_.size()) return false;
-  return (limbs_[limb] >> (i % 32)) & 1u;
+  return (limbs_[limb] >> (i % 64)) & 1u;
 }
 
 Bytes BigInt::to_bytes() const {
   const std::size_t bits = bit_length();
-  const std::size_t len = bits == 0 ? 1 : (bits + 7) / 8;
-  return to_bytes(len);
+  return to_bytes(bits == 0 ? 1 : (bits + 7) / 8);
 }
 
 Bytes BigInt::to_bytes(std::size_t length) const {
-  const std::size_t bits = bit_length();
-  const std::size_t need = bits == 0 ? 0 : (bits + 7) / 8;
-  if (need > length) {
+  Bytes out(length, 0);
+  if (!limb64::to_bytes_be(limbs_.data(), limbs_.size(), out.data(), length)) {
     throw std::length_error("BigInt::to_bytes: value does not fit requested length");
   }
-  Bytes out(length, 0);
-  for (std::size_t i = 0; i < need; ++i) {
-    // i-th byte from the least significant end.
-    const std::uint32_t limb = limbs_[i / 4];
-    out[length - 1 - i] = static_cast<std::uint8_t>((limb >> (8 * (i % 4))) & 0xFF);
-  }
-  return out;
-}
-
-void BigInt::to_limbs64(std::uint64_t* out, std::size_t n) const {
-  if (limb64_count() > n) {
-    throw std::length_error("BigInt::to_limbs64: value does not fit");
-  }
-  for (std::size_t i = 0; i < n; ++i) out[i] = 0;
-  for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    out[i / 2] |= static_cast<std::uint64_t>(limbs_[i]) << (32 * (i % 2));
-  }
-}
-
-BigInt BigInt::from_limbs64(const std::uint64_t* limbs, std::size_t n) {
-  BigInt out;
-  out.limbs_.reserve(2 * n);
-  for (std::size_t i = 0; i < n; ++i) {
-    out.limbs_.push_back(static_cast<std::uint32_t>(limbs[i] & 0xFFFFFFFFu));
-    out.limbs_.push_back(static_cast<std::uint32_t>(limbs[i] >> 32));
-  }
-  out.trim();
   return out;
 }
 
@@ -140,8 +123,8 @@ std::string BigInt::to_hex_string() const {
   static constexpr char kDigits[] = "0123456789abcdef";
   bool started = false;
   for (std::size_t i = limbs_.size(); i-- > 0;) {
-    for (int shift = 28; shift >= 0; shift -= 4) {
-      const int d = (limbs_[i] >> shift) & 0xF;
+    for (int shift = 60; shift >= 0; shift -= 4) {
+      const int d = static_cast<int>((limbs_[i] >> shift) & 0xF);
       if (!started && d == 0) continue;
       started = true;
       out.push_back(kDigits[d]);
@@ -153,17 +136,12 @@ std::string BigInt::to_hex_string() const {
 std::string BigInt::to_decimal_string() const {
   if (is_zero()) return "0";
   std::string digits;
-  std::vector<std::uint32_t> work = limbs_;
+  std::vector<Limb> work = limbs_;
   while (!work.empty()) {
-    // Divide magnitude by 10^9 to extract 9 decimal digits at a time.
-    std::uint64_t rem = 0;
-    for (std::size_t i = work.size(); i-- > 0;) {
-      const std::uint64_t cur = (rem << 32) | work[i];
-      work[i] = static_cast<std::uint32_t>(cur / 1000000000ull);
-      rem = cur % 1000000000ull;
-    }
+    // Divide the magnitude by 10^19 to extract 19 decimal digits at a time.
+    Limb rem = div_limb(work.data(), work.data(), work.size(), 10000000000000000000ull);
     while (!work.empty() && work.back() == 0) work.pop_back();
-    for (int i = 0; i < 9; ++i) {
+    for (int i = 0; i < 19; ++i) {
       digits.push_back(static_cast<char>('0' + rem % 10));
       rem /= 10;
       if (work.empty() && rem == 0) break;
@@ -175,160 +153,40 @@ std::string BigInt::to_decimal_string() const {
   return digits;
 }
 
-int BigInt::cmp_mag(const std::vector<std::uint32_t>& a,
-                    const std::vector<std::uint32_t>& b) {
-  if (a.size() != b.size()) return a.size() < b.size() ? -1 : 1;
-  for (std::size_t i = a.size(); i-- > 0;) {
-    if (a[i] != b[i]) return a[i] < b[i] ? -1 : 1;
-  }
-  return 0;
-}
-
 int BigInt::compare_magnitude(const BigInt& o) const {
-  return cmp_mag(limbs_, o.limbs_);
+  if (limbs_.size() != o.limbs_.size()) return limbs_.size() < o.limbs_.size() ? -1 : 1;
+  return limb64::cmp_n(limbs_.data(), o.limbs_.data(), limbs_.size());
 }
 
 int BigInt::compare(const BigInt& o) const {
   if (negative_ != o.negative_) return negative_ ? -1 : 1;
-  const int mag = cmp_mag(limbs_, o.limbs_);
+  const int mag = compare_magnitude(o);
   return negative_ ? -mag : mag;
 }
 
-std::vector<std::uint32_t> BigInt::add_mag(const std::vector<std::uint32_t>& a,
-                                           const std::vector<std::uint32_t>& b) {
-  const auto& longer = a.size() >= b.size() ? a : b;
-  const auto& shorter = a.size() >= b.size() ? b : a;
-  std::vector<std::uint32_t> out;
-  out.reserve(longer.size() + 1);
-  std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < longer.size(); ++i) {
-    std::uint64_t sum = carry + longer[i];
-    if (i < shorter.size()) sum += shorter[i];
-    out.push_back(static_cast<std::uint32_t>(sum & 0xFFFFFFFFu));
-    carry = sum >> 32;
+BigInt& BigInt::add_signed(const BigInt& o, bool o_negative) {
+  const std::size_t nb = o.limbs_.size();  // before any resize: o may be *this
+  if (negative_ == o_negative) {
+    if (limbs_.size() < nb) limbs_.resize(nb, 0);
+    const Limb carry = limb64::add(limbs_.data(), limbs_.data(), limbs_.size(),
+                                   o.limbs_.data(), nb);
+    if (carry != 0) limbs_.push_back(carry);
+    return *this;
   }
-  if (carry != 0) out.push_back(static_cast<std::uint32_t>(carry));
-  return out;
-}
-
-std::vector<std::uint32_t> BigInt::sub_mag(const std::vector<std::uint32_t>& a,
-                                           const std::vector<std::uint32_t>& b) {
-  std::vector<std::uint32_t> out;
-  out.reserve(a.size());
-  std::int64_t borrow = 0;
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    std::int64_t diff = static_cast<std::int64_t>(a[i]) - borrow;
-    if (i < b.size()) diff -= b[i];
-    if (diff < 0) {
-      diff += static_cast<std::int64_t>(kBase);
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    out.push_back(static_cast<std::uint32_t>(diff));
+  const int cmp = compare_magnitude(o);
+  if (cmp == 0) return *this = BigInt();
+  if (cmp > 0) {
+    // |this| - |o| keeps our sign.
+    limb64::sub(limbs_.data(), limbs_.data(), limbs_.size(), o.limbs_.data(), nb);
+  } else {
+    // |o| - |this| takes o's.
+    std::vector<Limb> mag = o.limbs_;
+    limb64::sub(mag.data(), mag.data(), nb, limbs_.data(), limbs_.size());
+    limbs_ = std::move(mag);
+    negative_ = o_negative;
   }
-  while (!out.empty() && out.back() == 0) out.pop_back();
-  return out;
-}
-
-namespace {
-
-/// Schoolbook product of limb magnitudes.
-std::vector<std::uint32_t> mul_school(const std::vector<std::uint32_t>& a,
-                                      const std::vector<std::uint32_t>& b) {
-  std::vector<std::uint32_t> out(a.size() + b.size(), 0);
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    std::uint64_t carry = 0;
-    const std::uint64_t ai = a[i];
-    for (std::size_t j = 0; j < b.size(); ++j) {
-      const std::uint64_t cur = out[i + j] + ai * b[j] + carry;
-      out[i + j] = static_cast<std::uint32_t>(cur & 0xFFFFFFFFu);
-      carry = cur >> 32;
-    }
-    std::size_t k = i + b.size();
-    while (carry != 0) {
-      const std::uint64_t cur = out[k] + carry;
-      out[k] = static_cast<std::uint32_t>(cur & 0xFFFFFFFFu);
-      carry = cur >> 32;
-      ++k;
-    }
-  }
-  while (!out.empty() && out.back() == 0) out.pop_back();
-  return out;
-}
-
-// In-place limb-vector addition: acc += v << (32 * shift).
-void add_shifted(std::vector<std::uint32_t>& acc,
-                 const std::vector<std::uint32_t>& v, std::size_t shift) {
-  if (acc.size() < v.size() + shift + 1) acc.resize(v.size() + shift + 1, 0);
-  std::uint64_t carry = 0;
-  std::size_t i = 0;
-  for (; i < v.size(); ++i) {
-    const std::uint64_t sum =
-        static_cast<std::uint64_t>(acc[i + shift]) + v[i] + carry;
-    acc[i + shift] = static_cast<std::uint32_t>(sum & 0xFFFFFFFFu);
-    carry = sum >> 32;
-  }
-  while (carry != 0) {
-    const std::uint64_t sum = static_cast<std::uint64_t>(acc[i + shift]) + carry;
-    acc[i + shift] = static_cast<std::uint32_t>(sum & 0xFFFFFFFFu);
-    carry = sum >> 32;
-    ++i;
-  }
-}
-
-}  // namespace
-
-std::vector<std::uint32_t> BigInt::mul_mag(const std::vector<std::uint32_t>& a,
-                                           const std::vector<std::uint32_t>& b) {
-  if (a.empty() || b.empty()) return {};
-
-  // Karatsuba above this limb count (~1024 bits); schoolbook below, where
-  // its lower constant factor wins.
-  constexpr std::size_t kKaratsubaThreshold = 32;
-  if (std::min(a.size(), b.size()) < kKaratsubaThreshold) {
-    return mul_school(a, b);
-  }
-
-  // Split at half the larger operand: x = x1*B^h + x0.
-  const std::size_t h = std::max(a.size(), b.size()) / 2;
-  const auto lo = [&](const std::vector<std::uint32_t>& v) {
-    std::vector<std::uint32_t> out(v.begin(),
-                                   v.begin() + static_cast<std::ptrdiff_t>(
-                                                   std::min(h, v.size())));
-    while (!out.empty() && out.back() == 0) out.pop_back();
-    return out;
-  };
-  const auto hi = [&](const std::vector<std::uint32_t>& v) {
-    if (v.size() <= h) return std::vector<std::uint32_t>{};
-    return std::vector<std::uint32_t>(v.begin() + static_cast<std::ptrdiff_t>(h),
-                                      v.end());
-  };
-
-  const std::vector<std::uint32_t> a0 = lo(a);
-  const std::vector<std::uint32_t> a1 = hi(a);
-  const std::vector<std::uint32_t> b0 = lo(b);
-  const std::vector<std::uint32_t> b1 = hi(b);
-
-  const std::vector<std::uint32_t> z0 = mul_mag(a0, b0);
-  const std::vector<std::uint32_t> z2 = mul_mag(a1, b1);
-  // z1 = (a0+a1)(b0+b1) - z0 - z2, computed via BigInt to reuse borrow
-  // handling (all quantities are non-negative).
-  BigInt sum_a;
-  sum_a.limbs_ = add_mag(a0, a1);
-  BigInt sum_b;
-  sum_b.limbs_ = add_mag(b0, b1);
-  BigInt cross;
-  cross.limbs_ = mul_mag(sum_a.limbs_, sum_b.limbs_);
-  BigInt sub;
-  sub.limbs_ = add_mag(z0, z2);
-  const BigInt z1 = cross - sub;
-
-  std::vector<std::uint32_t> out = z0;
-  add_shifted(out, z1.limbs_, h);
-  add_shifted(out, z2, 2 * h);
-  while (!out.empty() && out.back() == 0) out.pop_back();
-  return out;
+  trim();
+  return *this;
 }
 
 BigInt BigInt::operator-() const {
@@ -339,126 +197,53 @@ BigInt BigInt::operator-() const {
 
 BigInt BigInt::operator+(const BigInt& o) const {
   BigInt out;
-  if (negative_ == o.negative_) {
-    out.limbs_ = add_mag(limbs_, o.limbs_);
-    out.negative_ = negative_;
-  } else {
-    const int cmp = cmp_mag(limbs_, o.limbs_);
-    if (cmp == 0) return BigInt();
-    if (cmp > 0) {
-      out.limbs_ = sub_mag(limbs_, o.limbs_);
-      out.negative_ = negative_;
-    } else {
-      out.limbs_ = sub_mag(o.limbs_, limbs_);
-      out.negative_ = o.negative_;
-    }
-  }
-  out.trim();
+  out.limbs_.reserve(std::max(limbs_.size(), o.limbs_.size()) + 1);
+  out.limbs_ = limbs_;  // keeps the reserved room for a carry-out limb
+  out.negative_ = negative_;
+  out.add_signed(o, o.negative_);
   return out;
 }
 
 BigInt BigInt::operator-(const BigInt& o) const { return *this + (-o); }
 
-void BigInt::add_mag_inplace(const std::vector<std::uint32_t>& b) {
-  if (limbs_.size() < b.size()) limbs_.resize(b.size(), 0);
-  std::uint64_t carry = 0;
-  std::size_t i = 0;
-  for (; i < b.size(); ++i) {
-    const std::uint64_t sum = static_cast<std::uint64_t>(limbs_[i]) + b[i] + carry;
-    limbs_[i] = static_cast<std::uint32_t>(sum & 0xFFFFFFFFu);
-    carry = sum >> 32;
-  }
-  for (; carry != 0 && i < limbs_.size(); ++i) {
-    const std::uint64_t sum = static_cast<std::uint64_t>(limbs_[i]) + carry;
-    limbs_[i] = static_cast<std::uint32_t>(sum & 0xFFFFFFFFu);
-    carry = sum >> 32;
-  }
-  if (carry != 0) limbs_.push_back(static_cast<std::uint32_t>(carry));
-}
-
-void BigInt::sub_mag_inplace(const std::vector<std::uint32_t>& b) {
-  std::int64_t borrow = 0;
-  for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    std::int64_t diff = static_cast<std::int64_t>(limbs_[i]) - borrow;
-    if (i < b.size()) diff -= b[i];
-    if (diff < 0) {
-      diff += static_cast<std::int64_t>(kBase);
-      borrow = 1;
-    } else {
-      borrow = 0;
-    }
-    limbs_[i] = static_cast<std::uint32_t>(diff);
-  }
-  trim();
-}
-
-BigInt& BigInt::operator+=(const BigInt& o) {
-  if (negative_ == o.negative_) {
-    add_mag_inplace(o.limbs_);
-    return *this;
-  }
-  const int cmp = cmp_mag(limbs_, o.limbs_);
-  if (cmp == 0) return *this = BigInt();
-  if (cmp > 0) {
-    sub_mag_inplace(o.limbs_);  // sign (ours) survives: result nonzero
-    return *this;
-  }
-  return *this = *this + o;
-}
-
-BigInt& BigInt::operator-=(const BigInt& o) {
-  if (negative_ != o.negative_) {
-    add_mag_inplace(o.limbs_);  // this - o = this + |o| with our sign
-    return *this;
-  }
-  const int cmp = cmp_mag(limbs_, o.limbs_);
-  if (cmp == 0) return *this = BigInt();
-  if (cmp > 0) {
-    sub_mag_inplace(o.limbs_);
-    return *this;
-  }
-  return *this = *this - o;
-}
-
 BigInt BigInt::operator*(const BigInt& o) const {
   BigInt out;
-  out.limbs_ = mul_mag(limbs_, o.limbs_);
-  out.negative_ = negative_ != o.negative_ && !out.limbs_.empty();
+  if (is_zero() || o.is_zero()) return out;
+  out.limbs_.resize(limbs_.size() + o.limbs_.size());
+  limb64::mul(out.limbs_.data(), limbs_.data(), limbs_.size(), o.limbs_.data(),
+              o.limbs_.size());
+  out.negative_ = negative_ != o.negative_;
+  out.trim();
   return out;
 }
 
 BigInt BigInt::operator<<(std::size_t bits) const {
-  if (is_zero() || bits == 0) {
-    BigInt out = *this;
-    return out;
-  }
-  const std::size_t limb_shift = bits / 32;
-  const std::size_t bit_shift = bits % 32;
+  if (is_zero() || bits == 0) return *this;
+  const std::size_t limb_shift = bits / 64;
+  const std::size_t bit_shift = bits % 64;
   BigInt out;
   out.negative_ = negative_;
   out.limbs_.assign(limbs_.size() + limb_shift + 1, 0);
   for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    const std::uint64_t v = static_cast<std::uint64_t>(limbs_[i]) << bit_shift;
-    out.limbs_[i + limb_shift] |= static_cast<std::uint32_t>(v & 0xFFFFFFFFu);
-    out.limbs_[i + limb_shift + 1] |= static_cast<std::uint32_t>(v >> 32);
+    out.limbs_[i + limb_shift] |= limbs_[i] << bit_shift;
+    if (bit_shift != 0) out.limbs_[i + limb_shift + 1] |= limbs_[i] >> (64 - bit_shift);
   }
   out.trim();
   return out;
 }
 
 BigInt BigInt::operator>>(std::size_t bits) const {
-  const std::size_t limb_shift = bits / 32;
+  const std::size_t limb_shift = bits / 64;
   if (limb_shift >= limbs_.size()) return BigInt();
-  const std::size_t bit_shift = bits % 32;
+  const std::size_t bit_shift = bits % 64;
   BigInt out;
   out.negative_ = negative_;
   out.limbs_.assign(limbs_.size() - limb_shift, 0);
   for (std::size_t i = 0; i < out.limbs_.size(); ++i) {
-    std::uint64_t v = static_cast<std::uint64_t>(limbs_[i + limb_shift]) >> bit_shift;
+    out.limbs_[i] = limbs_[i + limb_shift] >> bit_shift;
     if (bit_shift != 0 && i + limb_shift + 1 < limbs_.size()) {
-      v |= static_cast<std::uint64_t>(limbs_[i + limb_shift + 1]) << (32 - bit_shift);
+      out.limbs_[i] |= limbs_[i + limb_shift + 1] << (64 - bit_shift);
     }
-    out.limbs_[i] = static_cast<std::uint32_t>(v & 0xFFFFFFFFu);
   }
   out.trim();
   return out;
@@ -466,104 +251,70 @@ BigInt BigInt::operator>>(std::size_t bits) const {
 
 BigInt::DivMod BigInt::divmod(const BigInt& divisor) const {
   if (divisor.is_zero()) throw std::domain_error("BigInt: division by zero");
-
-  const int cmp = cmp_mag(limbs_, divisor.limbs_);
-  if (cmp < 0) return {BigInt(), *this};
+  if (compare_magnitude(divisor) < 0) return {BigInt(), *this};
 
   DivMod result;
-  if (divisor.limbs_.size() == 1) {
+  const std::size_t n = divisor.limbs_.size();
+  if (n == 1) {
     // Short division.
-    const std::uint64_t d = divisor.limbs_[0];
-    std::vector<std::uint32_t> q(limbs_.size(), 0);
-    std::uint64_t rem = 0;
-    for (std::size_t i = limbs_.size(); i-- > 0;) {
-      const std::uint64_t cur = (rem << 32) | limbs_[i];
-      q[i] = static_cast<std::uint32_t>(cur / d);
-      rem = cur % d;
-    }
-    result.quotient.limbs_ = std::move(q);
-    result.remainder = BigInt(static_cast<std::int64_t>(rem));
+    result.quotient.limbs_.resize(limbs_.size());
+    const Limb rem = div_limb(result.quotient.limbs_.data(), limbs_.data(),
+                              limbs_.size(), divisor.limbs_[0]);
+    if (rem != 0) result.remainder.limbs_.push_back(rem);
   } else {
-    // Knuth Algorithm D. Normalize so the divisor's top limb has its high
-    // bit set.
+    // Knuth Algorithm D in base B = 2^64. Normalize so the divisor's top
+    // limb has its high bit set.
     const std::size_t shift =
         static_cast<std::size_t>(std::countl_zero(divisor.limbs_.back()));
-    const BigInt u_n = [&] {
-      BigInt t;
-      t.limbs_ = limbs_;
-      return t << shift;
-    }();
-    const BigInt v_n = [&] {
-      BigInt t;
-      t.limbs_ = divisor.limbs_;
-      return t << shift;
-    }();
-
-    const std::size_t n = v_n.limbs_.size();
-    const std::size_t m = u_n.limbs_.size() - n;
-    std::vector<std::uint32_t> u = u_n.limbs_;
+    std::vector<Limb> u = (*this << shift).limbs_;
+    const std::vector<Limb> v = (divisor << shift).limbs_;
+    const std::size_t m = u.size() - n;
     u.push_back(0);  // u has m + n + 1 limbs
-    const std::vector<std::uint32_t>& v = v_n.limbs_;
-    std::vector<std::uint32_t> q(m + 1, 0);
+    std::vector<Limb> q(m + 1, 0);
+    constexpr Wide kBase = static_cast<Wide>(1) << 64;
 
     for (std::size_t j = m + 1; j-- > 0;) {
       // Estimate q_hat = (u[j+n]*B + u[j+n-1]) / v[n-1], clamped to B-1 so
-      // the correction products below fit in 64 bits.
-      const std::uint64_t top =
-          (static_cast<std::uint64_t>(u[j + n]) << 32) | u[j + n - 1];
-      std::uint64_t q_hat = top / v[n - 1];
-      std::uint64_t r_hat = top % v[n - 1];
+      // the correction products below fit in 128 bits.
+      const Wide top = (static_cast<Wide>(u[j + n]) << 64) | u[j + n - 1];
+      Wide q_hat = top / v[n - 1];
+      Wide r_hat = top - q_hat * v[n - 1];
       if (q_hat >= kBase) {
         q_hat = kBase - 1;
         r_hat = top - q_hat * v[n - 1];
       }
-      while (r_hat < kBase &&
-             q_hat * v[n - 2] > ((r_hat << 32) | u[j + n - 2])) {
+      while (r_hat < kBase && q_hat * v[n - 2] > ((r_hat << 64) | u[j + n - 2])) {
         --q_hat;
         r_hat += v[n - 1];
       }
 
       // Multiply-subtract q_hat * v from u[j .. j+n].
-      std::int64_t borrow = 0;
-      std::uint64_t carry = 0;
+      Limb qj = static_cast<Limb>(q_hat);
+      Limb carry = 0;
+      Limb borrow = 0;
       for (std::size_t i = 0; i < n; ++i) {
-        const std::uint64_t prod = q_hat * v[i] + carry;
-        carry = prod >> 32;
-        std::int64_t diff = static_cast<std::int64_t>(u[i + j]) -
-                            static_cast<std::int64_t>(prod & 0xFFFFFFFFu) - borrow;
-        if (diff < 0) {
-          diff += static_cast<std::int64_t>(kBase);
-          borrow = 1;
-        } else {
-          borrow = 0;
-        }
-        u[i + j] = static_cast<std::uint32_t>(diff);
+        const Wide prod = static_cast<Wide>(qj) * v[i] + carry;
+        carry = static_cast<Limb>(prod >> 64);
+        const Wide diff = static_cast<Wide>(u[i + j]) - static_cast<Limb>(prod) - borrow;
+        u[i + j] = static_cast<Limb>(diff);
+        borrow = static_cast<Limb>((diff >> 64) & 1);
       }
-      std::int64_t diff = static_cast<std::int64_t>(u[j + n]) -
-                          static_cast<std::int64_t>(carry) - borrow;
-      if (diff < 0) {
-        // q_hat was one too large: add back.
-        diff += static_cast<std::int64_t>(kBase);
-        u[j + n] = static_cast<std::uint32_t>(diff);
-        --q_hat;
-        std::uint64_t carry2 = 0;
-        for (std::size_t i = 0; i < n; ++i) {
-          const std::uint64_t sum = static_cast<std::uint64_t>(u[i + j]) + v[i] + carry2;
-          u[i + j] = static_cast<std::uint32_t>(sum & 0xFFFFFFFFu);
-          carry2 = sum >> 32;
-        }
-        u[j + n] = static_cast<std::uint32_t>(u[j + n] + carry2);
-      } else {
-        u[j + n] = static_cast<std::uint32_t>(diff);
+      const Wide diff = static_cast<Wide>(u[j + n]) - carry - borrow;
+      u[j + n] = static_cast<Limb>(diff);
+      if ((diff >> 64) != 0) {
+        // q_hat was one too large: add v back; the carry-out cancels the
+        // borrow in the top limb.
+        --qj;
+        u[j + n] += limb64::add_n(&u[j], &u[j], v.data(), n);
       }
-      q[j] = static_cast<std::uint32_t>(q_hat);
+      q[j] = qj;
     }
 
     result.quotient.limbs_ = std::move(q);
-    BigInt rem;
-    rem.limbs_.assign(u.begin(), u.begin() + static_cast<std::ptrdiff_t>(n));
-    rem.trim();
-    result.remainder = rem >> shift;
+    u.resize(n);
+    result.remainder.limbs_ = std::move(u);
+    result.remainder.trim();
+    result.remainder = result.remainder >> shift;
   }
 
   result.quotient.trim();
@@ -589,9 +340,12 @@ BigInt BigInt::mod(const BigInt& m) const {
 
 std::uint32_t BigInt::mod_u32(std::uint32_t divisor) const {
   if (divisor == 0) throw std::domain_error("BigInt::mod_u32: division by zero");
+  // Two 64-by-32-bit steps per limb: rem < divisor < 2^32 keeps every
+  // dividend in 64 bits, so no 128-bit division is needed.
   std::uint64_t rem = 0;
   for (std::size_t i = limbs_.size(); i-- > 0;) {
-    rem = ((rem << 32) | limbs_[i]) % divisor;
+    rem = ((rem << 32) | (limbs_[i] >> 32)) % divisor;
+    rem = ((rem << 32) | (limbs_[i] & 0xFFFFFFFFu)) % divisor;
   }
   return static_cast<std::uint32_t>(rem);
 }
@@ -614,25 +368,13 @@ BigInt BigInt::mod_pow(const BigInt& exponent, const BigInt& m) const {
     return MontgomeryContextCache::global().get(m)->pow(*this, exponent);
   }
 
+  // Small or even moduli: square-and-multiply with division-based
+  // reduction.
   const BigInt base = mod(m);
-  if (exponent.is_zero()) return BigInt(1);
-
-  // 4-bit fixed-window exponentiation: precompute base^0 .. base^15.
-  std::vector<BigInt> table(16);
-  table[0] = BigInt(1);
-  table[1] = base;
-  for (int i = 2; i < 16; ++i) table[i] = (table[i - 1] * base).mod(m);
-
   BigInt result(1);
-  const std::size_t bits = exponent.bit_length();
-  const std::size_t windows = (bits + 3) / 4;
-  for (std::size_t w = windows; w-- > 0;) {
-    for (int s = 0; s < 4; ++s) result = (result * result).mod(m);
-    int digit = 0;
-    for (int b = 3; b >= 0; --b) {
-      digit = (digit << 1) | (exponent.bit(w * 4 + static_cast<std::size_t>(b)) ? 1 : 0);
-    }
-    if (digit != 0) result = (result * table[static_cast<std::size_t>(digit)]).mod(m);
+  for (std::size_t i = exponent.bit_length(); i-- > 0;) {
+    result = (result * result).mod(m);
+    if (exponent.bit(i)) result = (result * base).mod(m);
   }
   return result;
 }

@@ -1,9 +1,13 @@
-// Arbitrary-precision integers for the RSA implementation.
+// Arbitrary-precision integers for RSA, ECDSA and key generation.
 //
-// Magnitude + sign representation with 32-bit limbs (little-endian limb
-// order, 64-bit intermediates). Provides everything RSA needs: comparison,
-// add/sub/mul, Knuth-D division, shifts, modular exponentiation (4-bit
-// fixed window), gcd / modular inverse, and big-endian byte conversion.
+// Magnitude + sign, the magnitude a heap vector of little-endian 64-bit
+// limbs (limb64::Limb) — the one limb format of src/crypto/. Comparison,
+// add/sub, schoolbook multiplication and byte I/O call the limb64
+// kernels; division is Knuth Algorithm D with 128-bit intermediates.
+// Montgomery contexts and the RSA verify engine read a modulus through
+// limbs() with no conversion. Also: shifts, modular exponentiation
+// (Montgomery for odd moduli of 128+ bits), gcd / modular inverse and
+// decimal/hex parsing and printing.
 #pragma once
 
 #include <cstdint>
@@ -13,6 +17,7 @@
 #include <vector>
 
 #include "crypto/bytes.h"
+#include "crypto/limb64.h"
 
 namespace alidrone::crypto {
 
@@ -40,14 +45,11 @@ class BigInt {
   Bytes to_bytes() const;
   Bytes to_bytes(std::size_t length) const;
 
-  /// 64-bit limbs needed for the magnitude (0 for zero) — the boundary
-  /// to the fixed-capacity limb64 kernels.
-  std::size_t limb64_count() const { return (limbs_.size() + 1) / 2; }
-  /// Magnitude into out[0..n) as little-endian 64-bit limbs, zero-padded;
-  /// throws std::length_error when it needs more than n limbs.
-  void to_limbs64(std::uint64_t* out, std::size_t n) const;
-  /// Non-negative value from little-endian 64-bit limbs.
-  static BigInt from_limbs64(const std::uint64_t* limbs, std::size_t n);
+  /// Little-endian limbs of the magnitude with no trailing zero limb
+  /// (empty for zero): what the limb64 kernels read.
+  std::span<const limb64::Limb> limbs() const { return limbs_; }
+  /// Non-negative value from little-endian limbs (trailing zeros allowed).
+  static BigInt from_limbs(std::span<const limb64::Limb> limbs);
 
   std::string to_decimal_string() const;
   std::string to_hex_string() const;
@@ -73,12 +75,10 @@ class BigInt {
   BigInt operator<<(std::size_t bits) const;
   BigInt operator>>(std::size_t bits) const;
 
-  /// In-place add/sub reuse this->limbs_ capacity on the common
-  /// same-sign (resp. larger-magnitude) paths instead of building a
-  /// fresh vector per call; only the sign-flip cases fall back to the
-  /// copying operator.
-  BigInt& operator+=(const BigInt& o);
-  BigInt& operator-=(const BigInt& o);
+  /// In-place add/sub reuse this->limbs_ capacity on the same-sign and
+  /// larger-magnitude paths instead of building a fresh vector per call.
+  BigInt& operator+=(const BigInt& o) { return add_signed(o, o.negative_); }
+  BigInt& operator-=(const BigInt& o) { return add_signed(o, !o.negative_); }
   BigInt& operator*=(const BigInt& o) { return *this = *this * o; }
 
   struct DivMod;
@@ -99,26 +99,13 @@ class BigInt {
   std::uint32_t mod_u32(std::uint32_t divisor) const;
 
  private:
-  friend class MontgomeryContext;  // limb-level access for REDC
-
   // Little-endian limbs of the magnitude; no trailing zero limbs.
-  std::vector<std::uint32_t> limbs_;
+  std::vector<limb64::Limb> limbs_;
   bool negative_ = false;
 
   void trim();
-  // In-place magnitude helpers behind operator+=/-=; sub requires
-  // |this| >= |b|. Both are safe when b aliases this->limbs_.
-  void add_mag_inplace(const std::vector<std::uint32_t>& b);
-  void sub_mag_inplace(const std::vector<std::uint32_t>& b);
-  static std::vector<std::uint32_t> add_mag(const std::vector<std::uint32_t>& a,
-                                            const std::vector<std::uint32_t>& b);
-  // Requires |a| >= |b|.
-  static std::vector<std::uint32_t> sub_mag(const std::vector<std::uint32_t>& a,
-                                            const std::vector<std::uint32_t>& b);
-  static std::vector<std::uint32_t> mul_mag(const std::vector<std::uint32_t>& a,
-                                            const std::vector<std::uint32_t>& b);
-  static int cmp_mag(const std::vector<std::uint32_t>& a,
-                     const std::vector<std::uint32_t>& b);
+  /// *this += o, with o's sign taken as o_negative. Safe when o is *this.
+  BigInt& add_signed(const BigInt& o, bool o_negative);
 };
 
 struct BigInt::DivMod {

@@ -1,14 +1,16 @@
-// 64-bit limb kernels for the fixed-capacity bignum core.
+// 64-bit limb kernels: the one limb format of src/crypto/.
 //
 // Every routine operates on raw little-endian uint64_t limb spans with
-// caller-provided storage, so the verify hot path (MontgomeryContext,
-// RsaVerifyEngine) runs entirely on stack or preallocated buffers — zero
-// heap allocations per operation, guarded by the counting-operator-new
-// ctest crypto_alloc_guard_test (label perf-guard). Products use 128-bit
-// intermediates; the Montgomery product is the CIOS form of REDC (Koc,
-// Acar, Kaliski, "Analyzing and Comparing Montgomery Multiplication
-// Algorithms", 1996), which interleaves multiplication and reduction in
-// one k-limb pass instead of building the double-width product first.
+// caller-provided storage. BigInt keeps its magnitude in these limbs and
+// calls the add/sub/mul/compare/byte kernels below, and the verify hot
+// path (MontgomeryContext, RsaVerifyEngine) runs entirely on stack or
+// preallocated buffers — zero heap allocations per operation, guarded by
+// the counting-operator-new ctest crypto_alloc_guard_test (label
+// perf-guard). Products use 128-bit intermediates; the Montgomery
+// product is the CIOS form of REDC (Koc, Acar, Kaliski, "Analyzing and
+// Comparing Montgomery Multiplication Algorithms", 1996), which
+// interleaves multiplication and reduction in one k-limb pass instead of
+// building the double-width product first.
 #pragma once
 
 #include <cstddef>
@@ -61,6 +63,32 @@ inline Limb sub_n(Limb* out, const Limb* a, const Limb* b, std::size_t n) {
     const Wide diff = static_cast<Wide>(a[i]) - b[i] - borrow;
     out[i] = static_cast<Limb>(diff);
     borrow = static_cast<Limb>((diff >> 64) & 1);
+  }
+  return borrow;
+}
+
+/// out[0 .. na) = a + b for na >= nb: add_n over the low nb limbs, then
+/// the carry ripples through a's top na - nb limbs. Returns the
+/// carry-out. out may alias a.
+inline Limb add(Limb* out, const Limb* a, std::size_t na, const Limb* b,
+                std::size_t nb) {
+  Limb carry = add_n(out, a, b, nb);
+  for (std::size_t i = nb; i < na; ++i) {
+    out[i] = a[i] + carry;
+    carry = out[i] < carry ? 1 : 0;
+  }
+  return carry;
+}
+
+/// out[0 .. na) = a - b for na >= nb, borrowing through a's top limbs;
+/// returns the borrow-out. out may alias a.
+inline Limb sub(Limb* out, const Limb* a, std::size_t na, const Limb* b,
+                std::size_t nb) {
+  Limb borrow = sub_n(out, a, b, nb);
+  for (std::size_t i = nb; i < na; ++i) {
+    const Limb ai = a[i];
+    out[i] = ai - borrow;
+    borrow = ai < borrow ? 1 : 0;
   }
   return borrow;
 }

@@ -9,172 +9,69 @@
 namespace alidrone::crypto {
 
 namespace {
-
 using Limb = limb64::Limb;
-
-/// Limb scratch: stack-backed up to the largest arena any protocol-size
-/// (<= 4096-bit) operation needs, heap-backed beyond. The fallback keeps
-/// the engine general while the verify path never allocates.
-class Scratch {
- public:
-  explicit Scratch(std::size_t n) {
-    if (n <= sizeof(stack_) / sizeof(Limb)) {
-      data_ = stack_;
-      std::fill(stack_, stack_ + n, 0);
-    } else {
-      heap_.assign(n, 0);
-      data_ = heap_.data();
-    }
-  }
-  Limb* data() { return data_; }
-
- private:
-  // pow() needs the most: a 16-entry window table + accumulator + k + 2
-  // REDC limbs = 18k + 2.
-  Limb stack_[18 * limb64::kMaxProtocolLimbs + 2];
-  std::vector<Limb> heap_;
-  Limb* data_;
-};
-
 }  // namespace
 
 MontgomeryContext::MontgomeryContext(const BigInt& modulus) : m_(modulus) {
   if (m_.is_negative() || m_.is_even() || m_ < BigInt(3)) {
     throw std::invalid_argument("MontgomeryContext: modulus must be odd and >= 3");
   }
-  k_ = m_.limb64_count();
-  constants_.assign(3 * k_, 0);
-  Limb* m64 = constants_.data();
-  Limb* r2 = m64 + k_;
-  Limb* one = r2 + k_;
-
-  m_.to_limbs64(m64, k_);
-  m_prime_ = limb64::neg_inverse(m64[0]);
+  const std::size_t k = m_.limbs().size();
+  constants_.assign(2 * k, 0);
+  Limb* r2 = constants_.data();
+  Limb* one = r2 + k;
 
   // R = 2^(64k): R mod m and R^2 mod m via shifting (setup-only division).
-  const BigInt r = BigInt(1) << (64 * k_);
+  const BigInt r = BigInt(1) << (64 * k);
   const BigInt one_mont = r.mod(m_);
-  one_mont.to_limbs64(one, k_);
-  (one_mont * one_mont).mod(m_).to_limbs64(r2, k_);
+  const BigInt r2_mont = (one_mont * one_mont).mod(m_);
+  std::copy(one_mont.limbs().begin(), one_mont.limbs().end(), one);
+  std::copy(r2_mont.limbs().begin(), r2_mont.limbs().end(), r2);
 
-  mont_ = limb64::Mont{k_, m_prime_, m64, r2, one};
+  mont_ = limb64::Mont{k, limb64::neg_inverse(m_.limbs()[0]), m_.limbs().data(),
+                       r2, one};
+}
+
+void MontgomeryContext::load(const BigInt& a, Limb* out) const {
+  const std::size_t k = mont_.k;
+  if (a.is_negative() || a.limbs().size() > k) {
+    load(a.mod(m_), out);
+    return;
+  }
+  const auto end = std::copy(a.limbs().begin(), a.limbs().end(), out);
+  std::fill(end, out + k, 0);
 }
 
 BigInt MontgomeryContext::to_mont(const BigInt& a) const {
-  // Reduce first: to_mont accepts any integer, while the kernel wants a
-  // k-limb value (a * r2 < R * m keeps REDC exact).
-  const BigInt reduced = a.mod(m_);
-  Scratch scratch(2 * k_ + 2);
-  Limb* x = scratch.data();
-  Limb* t = x + k_;
-  reduced.to_limbs64(x, k_);
-  limb64::mont_mul(mont_, x, mont_.r2, x, t);
-  return BigInt::from_limbs64(x, k_);
+  // a * r2 < R * m for any k-limb a, so REDC stays exact.
+  const std::size_t k = mont_.k;
+  std::vector<Limb> x(2 * k + 2);
+  load(a, x.data());
+  limb64::mont_mul(mont_, x.data(), mont_.r2, x.data(), x.data() + k);
+  return BigInt::from_limbs({x.data(), k});
 }
 
 BigInt MontgomeryContext::from_mont(const BigInt& a) const {
   // REDC(a mod m) = a * R^-1 mod m for any a, so reducing oversized
   // inputs first preserves the result.
-  BigInt reduced;
-  const BigInt* p = &a;
-  if (a.is_negative() || a.limb64_count() > k_) {
-    reduced = a.mod(m_);
-    p = &reduced;
-  }
-  Scratch scratch(2 * k_ + 2);
-  Limb* x = scratch.data();
-  Limb* t = x + k_;
-  p->to_limbs64(x, k_);
-  limb64::redc(mont_, x, x, t);
-  return BigInt::from_limbs64(x, k_);
+  const std::size_t k = mont_.k;
+  std::vector<Limb> x(2 * k + 2);
+  load(a, x.data());
+  limb64::redc(mont_, x.data(), x.data(), x.data() + k);
+  return BigInt::from_limbs({x.data(), k});
 }
 
 BigInt MontgomeryContext::mul(const BigInt& a, const BigInt& b) const {
-  BigInt ra, rb;
-  const BigInt* pa = &a;
-  const BigInt* pb = &b;
-  if (a.is_negative() || a.limb64_count() > k_) {
-    ra = a.mod(m_);
-    pa = &ra;
-  }
-  if (b.is_negative() || b.limb64_count() > k_) {
-    rb = b.mod(m_);
-    pb = &rb;
-  }
-  Scratch scratch(3 * k_ + 2);
-  Limb* x = scratch.data();
-  Limb* y = x + k_;
-  Limb* t = y + k_;
-  pa->to_limbs64(x, k_);
-  pb->to_limbs64(y, k_);
-  limb64::mont_mul(mont_, x, y, x, t);
-  return BigInt::from_limbs64(x, k_);
+  const std::size_t k = mont_.k;
+  std::vector<Limb> x(3 * k + 2);
+  load(a, x.data());
+  load(b, x.data() + k);
+  limb64::mont_mul(mont_, x.data(), x.data() + k, x.data(), x.data() + 2 * k);
+  return BigInt::from_limbs({x.data(), k});
 }
 
 BigInt MontgomeryContext::pow(const BigInt& base, const BigInt& exponent) const {
-  if (exponent.is_negative()) {
-    throw std::domain_error("MontgomeryContext::pow: negative exponent");
-  }
-  if (exponent.is_zero()) return BigInt(1).mod(m_);
-
-  // Bring the base under R: any k-limb value maps correctly through
-  // REDC (the first Montgomery product reduces it mod m), so only wider
-  // or negative inputs pay the division.
-  BigInt reduced;
-  const BigInt* b = &base;
-  if (base.is_negative() || base.limb64_count() > k_) {
-    reduced = base.mod(m_);
-    b = &reduced;
-  }
-
-  // One arena: 16-entry window table (entry 1 doubles as the Montgomery
-  // base), accumulator, k + 2 REDC limbs.
-  Scratch scratch(17 * k_ + k_ + 2);
-  Limb* table = scratch.data();
-  Limb* acc = table + 16 * k_;
-  Limb* t = acc + k_;
-  Limb* base_m = table + k_;  // table entry 1 = base^1
-
-  b->to_limbs64(base_m, k_);
-  limb64::mont_mul(mont_, base_m, mont_.r2, base_m, t);
-
-  const std::size_t bits = exponent.bit_length();
-
-  // Short exponents (RSA verification: e = 65537, 17 bits) take plain
-  // square-and-multiply: the 4-bit window's 14-entry table build would
-  // cost more products than the whole exponentiation.
-  if (bits <= 64) {
-    std::copy(base_m, base_m + k_, acc);
-    for (std::size_t j = bits - 1; j-- > 0;) {
-      limb64::mont_mul(mont_, acc, acc, acc, t);
-      if (exponent.bit(j)) limb64::mont_mul(mont_, acc, base_m, acc, t);
-    }
-    limb64::redc(mont_, acc, acc, t);
-    return BigInt::from_limbs64(acc, k_);
-  }
-
-  // 4-bit fixed window over Montgomery-domain values.
-  std::copy(mont_.one, mont_.one + k_, table);  // entry 0 = 1
-  for (std::size_t i = 2; i < 16; ++i) {
-    limb64::mont_mul(mont_, table + (i - 1) * k_, base_m, table + i * k_, t);
-  }
-
-  std::copy(mont_.one, mont_.one + k_, acc);
-  const std::size_t windows = (bits + 3) / 4;
-  for (std::size_t w = windows; w-- > 0;) {
-    for (int s = 0; s < 4; ++s) limb64::mont_mul(mont_, acc, acc, acc, t);
-    int digit = 0;
-    for (int bi = 3; bi >= 0; --bi) {
-      digit = (digit << 1) |
-              (exponent.bit(w * 4 + static_cast<std::size_t>(bi)) ? 1 : 0);
-    }
-    if (digit != 0) {
-      limb64::mont_mul(mont_, acc, table + static_cast<std::size_t>(digit) * k_,
-                       acc, t);
-    }
-  }
-  limb64::redc(mont_, acc, acc, t);
-  return BigInt::from_limbs64(acc, k_);
+  return FixedExponentPlan(*this, exponent).pow(base);
 }
 
 int FixedExponentPlan::choose_window_bits(std::size_t exponent_bits) {
@@ -188,48 +85,46 @@ int FixedExponentPlan::choose_window_bits(std::size_t exponent_bits) {
   return 6;
 }
 
-FixedExponentPlan::FixedExponentPlan(
-    std::shared_ptr<const MontgomeryContext> context, const BigInt& exponent)
-    : ctx_(std::move(context)), exponent_(exponent) {
-  if (ctx_ == nullptr) {
-    throw std::invalid_argument("FixedExponentPlan: null context");
-  }
-  if (exponent_.is_negative()) {
+FixedExponentPlan::FixedExponentPlan(const MontgomeryContext& context,
+                                     const BigInt& exponent)
+    : ctx_(context) {
+  if (exponent.is_negative()) {
     throw std::domain_error("FixedExponentPlan: negative exponent");
   }
 
-  const std::size_t bits = exponent_.bit_length();
+  const std::size_t bits = exponent.bit_length();
   if (bits == 0) return;  // pow() handles the x^0 case directly
 
-  window_bits_ = choose_window_bits(bits);
+  const int window_bits = choose_window_bits(bits);
+  entries_ = std::size_t{1} << (window_bits - 1);
 
-  // Arena layout: odd-power table (2^(w-1) entries), base^2, accumulator,
-  // REDC scratch — allocated once here so pow() never allocates limbs.
-  const std::size_t k = ctx_->k_;
-  const std::size_t entries = std::size_t{1} << (window_bits_ - 1);
-  arena_.assign((entries + 2) * k + k + 2, 0);
+  // Arena layout: odd-power table, base^2, accumulator, REDC scratch —
+  // allocated once here so pow() never allocates limbs.
+  const std::size_t k = ctx_.limb_count();
+  arena_.assign((entries_ + 2) * k + k + 2, 0);
 
   // Left-to-right sliding-window decomposition, done once. Each step is a
   // run of squarings followed by one multiply with an odd window value
   // (or none, for trailing zero bits). The first step's squarings act on
   // an accumulator equal to 1, so pow() skips them and seeds the
   // accumulator from the table instead.
+  program_.reserve(bits / static_cast<std::size_t>(window_bits) + 2);
   std::size_t i = bits;  // scan position (1 past the next bit to consume)
   std::uint32_t squares = 0;
   while (i > 0) {
-    if (!exponent_.bit(i - 1)) {
+    if (!exponent.bit(i - 1)) {
       ++squares;
       --i;
       continue;
     }
-    // Window [i-1 .. j]: at most window_bits_ wide, ends on a set bit.
-    std::size_t j = i >= static_cast<std::size_t>(window_bits_)
-                        ? i - static_cast<std::size_t>(window_bits_)
+    // Window [i-1 .. j]: at most window_bits wide, ends on a set bit.
+    std::size_t j = i >= static_cast<std::size_t>(window_bits)
+                        ? i - static_cast<std::size_t>(window_bits)
                         : 0;
-    while (!exponent_.bit(j)) ++j;
+    while (!exponent.bit(j)) ++j;
     std::uint32_t digit = 0;
     for (std::size_t b = i; b-- > j;) {
-      digit = (digit << 1) | (exponent_.bit(b) ? 1u : 0u);
+      digit = (digit << 1) | (exponent.bit(b) ? 1u : 0u);
     }
     const std::uint32_t width = static_cast<std::uint32_t>(i - j);
     program_.push_back(
@@ -241,30 +136,21 @@ FixedExponentPlan::FixedExponentPlan(
 }
 
 BigInt FixedExponentPlan::pow(const BigInt& base) {
-  const MontgomeryContext& ctx = *ctx_;
-  if (exponent_.is_zero()) return BigInt(1).mod(ctx.m_);
+  if (program_.empty()) return BigInt(1).mod(ctx_.modulus());
 
-  const std::size_t k = ctx.k_;
-  const limb64::Mont& mont = ctx.mont_;
-  const std::size_t entries = std::size_t{1} << (window_bits_ - 1);
+  const std::size_t k = ctx_.limb_count();
+  const limb64::Mont& mont = ctx_.mont();
   Limb* table = arena_.data();
-  Limb* base_sq = table + entries * k;
+  Limb* base_sq = table + entries_ * k;
   Limb* acc = base_sq + k;
   Limb* t = acc + k;
 
-  // Base into Montgomery form; only oversized or negative inputs pay the
-  // division (REDC absorbs any k-limb value).
-  BigInt reduced;
-  const BigInt* b = &base;
-  if (base.is_negative() || base.limb64_count() > k) {
-    reduced = base.mod(ctx.m_);
-    b = &reduced;
-  }
-  b->to_limbs64(table, k);  // table entry 0 = base^1
+  // Base into Montgomery form (table entry 0 = base^1).
+  ctx_.load(base, table);
   limb64::mont_mul(mont, table, mont.r2, table, t);
-  if (entries > 1) {
+  if (entries_ > 1) {
     limb64::mont_mul(mont, table, table, base_sq, t);
-    for (std::size_t e = 1; e < entries; ++e) {
+    for (std::size_t e = 1; e < entries_; ++e) {
       limb64::mont_mul(mont, table + (e - 1) * k, base_sq, table + e * k, t);
     }
   }
@@ -285,7 +171,7 @@ BigInt FixedExponentPlan::pow(const BigInt& base) {
     }
   }
   limb64::redc(mont, acc, acc, t);
-  return BigInt::from_limbs64(acc, k);
+  return BigInt::from_limbs({acc, k});
 }
 
 MontgomeryContextCache::MontgomeryContextCache(std::size_t capacity)

@@ -8,13 +8,16 @@
 // same modulus (the Auditor re-verifying against a handful of public
 // keys) pay the R^2 setup division once instead of per call.
 //
-// The arithmetic itself runs on the 64-bit limb64 kernels (CIOS
-// multiply-interleaved REDC, 128-bit products): contexts precompute the
-// modulus and constants as flat uint64 limb arrays, and every operation
-// works in caller- or member-owned scratch, so the verify inner loop
-// performs zero heap allocations (guarded by crypto_alloc_guard_test).
-// The BigInt methods below are the convenience boundary; the hot path
-// (RsaVerifyEngine) uses mont() directly.
+// The arithmetic runs on the 64-bit limb64 kernels (CIOS
+// multiply-interleaved REDC, 128-bit products) over BigInt's own limbs:
+// a context reads the modulus through BigInt::limbs() and keeps R^2 mod m
+// and R mod m beside it, and every operation works in caller- or
+// member-owned scratch, so the verify inner loop performs zero heap
+// allocations (guarded by crypto_alloc_guard_test). There is one
+// windowed exponentiation, FixedExponentPlan's sliding window, and
+// MontgomeryContext::pow runs a one-off plan. The BigInt methods below
+// are the convenience boundary; the hot path (RsaVerifyEngine) uses
+// mont() directly.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +46,7 @@ class MontgomeryContext {
   explicit MontgomeryContext(const BigInt& modulus);
 
   // The Mont view points into member storage; copying would leave it
-  // dangling. Contexts are shared by shared_ptr, never copied.
+  // dangling. Contexts are shared by shared_ptr or borrowed, never copied.
   MontgomeryContext(const MontgomeryContext&) = delete;
   MontgomeryContext& operator=(const MontgomeryContext&) = delete;
 
@@ -53,7 +56,7 @@ class MontgomeryContext {
   /// zero-allocation engine interface (limb64::mont_mul / redc).
   const limb64::Mont& mont() const { return mont_; }
   /// Modulus size in 64-bit limbs (R = 2^(64 * limb_count())).
-  std::size_t limb_count() const { return k_; }
+  std::size_t limb_count() const { return mont_.k; }
 
   /// Map into Montgomery form: a * R mod m.
   BigInt to_mont(const BigInt& a) const;
@@ -64,37 +67,36 @@ class MontgomeryContext {
   /// Montgomery form.
   BigInt mul(const BigInt& a, const BigInt& b) const;
 
-  /// base^exponent mod m (plain-domain base and result); 4-bit windows
-  /// over a single stack-backed limb arena for protocol-size moduli.
+  /// base^exponent mod m (plain-domain base and result), through a
+  /// one-off FixedExponentPlan.
   BigInt pow(const BigInt& base, const BigInt& exponent) const;
+
+  /// a into out[0, limb_count()), zero-padded. Values of at most
+  /// limb_count() limbs are copied as they are (REDC absorbs any k-limb
+  /// input); wider or negative ones are reduced mod m first.
+  void load(const BigInt& a, limb64::Limb* out) const;
 
  private:
   BigInt m_;
-  std::size_t k_;             // 64-bit limb count of m
-  limb64::Limb m_prime_;      // -m^-1 mod 2^64
-  // Flat constant storage the Mont view points into: m | R^2 mod m |
-  // R mod m, k limbs each.
+  // R^2 mod m | R mod m, k limbs each. mont_ points into these and into
+  // m_'s limbs.
   std::vector<limb64::Limb> constants_;
   limb64::Mont mont_;
-
-  friend class FixedExponentPlan;  // reuses mont_ / m_ / k_
 };
 
 /// Exponentiation plan for a *fixed* (exponent, modulus) pair — the
 /// drone-side signing hot path, where the same CRT exponents d_p and d_q
-/// are applied to a fresh base on every signature.
-///
-/// MontgomeryContext::pow re-derives everything per call: it scans the
-/// exponent bits and builds a full 16-entry 4-bit window table. A plan
-/// hoists all exponent-dependent work to construction time:
+/// are applied to a fresh base on every signature, and the one windowed
+/// exponentiation of src/crypto/ (MontgomeryContext::pow runs a one-off
+/// plan). Construction hoists all exponent-dependent work:
 ///   - the sliding-window program (square runs + odd-window multiplies)
 ///     is decomposed once, so the per-call loop is a flat replay;
-///   - the window width is sized to the exponent (4/5/6 bits for RSA-size
+///   - the window width is sized to the exponent (1 bit, i.e. plain
+///     square-and-multiply, below 24 bits; 4/5/6 bits for RSA-size
 ///     exponents — wider windows only pay off once the exponent is long
 ///     enough to amortize the bigger odd-power table);
 ///   - the odd-power table, accumulator and REDC scratch live in one
-///     preallocated limb arena, so steady-state signing allocates only
-///     the BigInt result.
+///     preallocated limb arena, so pow() allocates only the BigInt result.
 /// Only the base-dependent odd-power table contents (2^(w-1) Montgomery
 /// products) are computed per call.
 ///
@@ -102,18 +104,13 @@ class MontgomeryContext {
 /// one thread or guard it externally (KeyVault serializes its plan).
 class FixedExponentPlan {
  public:
-  /// Plans `base^exponent mod context->modulus()`. The context is shared
-  /// (it is immutable); the exponent must be non-negative.
-  FixedExponentPlan(std::shared_ptr<const MontgomeryContext> context,
-                    const BigInt& exponent);
+  /// Plans `base^exponent mod context.modulus()`. The plan borrows the
+  /// context, which must outlive it; the exponent must be non-negative.
+  FixedExponentPlan(const MontgomeryContext& context, const BigInt& exponent);
 
-  /// base^exponent mod m, byte-identical to MontgomeryContext::pow /
-  /// BigInt::mod_pow for the same inputs.
+  /// base^exponent mod m, byte-identical to BigInt::mod_pow for the same
+  /// inputs.
   BigInt pow(const BigInt& base);
-
-  const BigInt& exponent() const { return exponent_; }
-  const MontgomeryContext& context() const { return *ctx_; }
-  int window_bits() const { return window_bits_; }
 
  private:
   /// One replay step: `squares` squarings, then (unless table_index < 0) a
@@ -125,13 +122,12 @@ class FixedExponentPlan {
 
   static int choose_window_bits(std::size_t exponent_bits);
 
-  std::shared_ptr<const MontgomeryContext> ctx_;
-  BigInt exponent_;
-  int window_bits_ = 1;
-  std::vector<Step> program_;  // leading step first; its squares are skipped
+  const MontgomeryContext& ctx_;
+  std::size_t entries_ = 0;    // odd-power table size, 2^(w-1)
+  std::vector<Step> program_;  // leading step first; empty for x^0
 
   // Per-call limb arena, reused across pow() calls: odd-power table
-  // (2^(w-1) entries of k limbs, Montgomery form), base^2, accumulator,
+  // (entries_ values of k limbs, Montgomery form), base^2, accumulator,
   // then k + 2 limbs of REDC scratch.
   std::vector<limb64::Limb> arena_;
 };

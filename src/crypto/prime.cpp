@@ -33,8 +33,9 @@ const std::vector<std::uint32_t>& small_primes() {
 }
 
 /// Miller-Rabin rounds on an odd n > 3. Each candidate gets its own
-/// context: keygen moduli are used once, so caching them would only
-/// evict the verify keys the shared MontgomeryContextCache is for.
+/// context and one plan for d that every round replays: keygen moduli
+/// are used once, so caching them would only evict the verify keys the
+/// shared MontgomeryContextCache is for.
 bool miller_rabin(const BigInt& n, RandomSource& rng, int rounds) {
   // Write n - 1 = d * 2^r with d odd.
   const BigInt n_minus_1 = n - BigInt(1);
@@ -46,10 +47,11 @@ bool miller_rabin(const BigInt& n, RandomSource& rng, int rounds) {
   }
 
   const MontgomeryContext ctx(n);
+  FixedExponentPlan plan(ctx, d);
   const BigInt two(2);
   for (int round = 0; round < rounds; ++round) {
     const BigInt a = rng.random_range(two, n - two);
-    BigInt x = ctx.pow(a, d);
+    BigInt x = plan.pow(a);
     if (x == BigInt(1) || x == n_minus_1) continue;
     bool witness = true;
     for (std::size_t i = 0; i + 1 < r; ++i) {

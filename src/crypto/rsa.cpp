@@ -175,14 +175,16 @@ RsaSigningPlan::RsaSigningPlan(const RsaPrivateKey& key,
   if (key_.n.is_zero() || key_.e.is_zero()) {
     throw std::invalid_argument("RsaSigningPlan: key has no modulus/exponent");
   }
-  ctx_n_ = MontgomeryContextCache::global().get(key_.n);
+  MontgomeryContextCache& cache = MontgomeryContextCache::global();
+  ctx_n_ = cache.get(key_.n);
+  plan_e_ = std::make_unique<FixedExponentPlan>(*ctx_n_, key_.e);
   if (key_.has_crt()) {
-    plan_p_ = std::make_unique<FixedExponentPlan>(
-        MontgomeryContextCache::global().get(key_.p), key_.d_p);
-    plan_q_ = std::make_unique<FixedExponentPlan>(
-        MontgomeryContextCache::global().get(key_.q), key_.d_q);
+    ctx_p_ = cache.get(key_.p);
+    ctx_q_ = cache.get(key_.q);
+    plan_p_ = std::make_unique<FixedExponentPlan>(*ctx_p_, key_.d_p);
+    plan_q_ = std::make_unique<FixedExponentPlan>(*ctx_q_, key_.d_q);
   } else {
-    plan_d_ = std::make_unique<FixedExponentPlan>(ctx_n_, key_.d);
+    plan_d_ = std::make_unique<FixedExponentPlan>(*ctx_n_, key_.d);
   }
 }
 
@@ -202,7 +204,7 @@ BigInt RsaSigningPlan::private_op(const BigInt& m) {
 
   // Bellcore fault guard (see rsa_private_op): never release a faulted
   // CRT recombination.
-  if (config_.crt_fault_check && ctx_n_->pow(s, key_.e) != m) {
+  if (plan_e_->pow(s) != m) {
     ++crt_fault_fallbacks_;
     s = m.mod_pow(key_.d, key_.n);
   }
@@ -217,7 +219,7 @@ void RsaSigningPlan::refresh_blinding(RandomSource& rng) {
     const BigInt r = rng.random_range(BigInt(2), key_.n - BigInt(2));
     if (BigInt::gcd(r, key_.n) != BigInt(1)) continue;
     unblind_mont_ = ctx_n_->to_mont(r.mod_inverse(key_.n));
-    blind_mont_ = ctx_n_->to_mont(ctx_n_->pow(r, key_.e));
+    blind_mont_ = ctx_n_->to_mont(plan_e_->pow(r));
     break;
   }
   blinding_uses_ = 0;
@@ -274,7 +276,7 @@ Bytes rsa_sign_blinded(const RsaPrivateKey& key,
 
 bool RsaVerifyEngine::supports(const RsaPublicKey& key) {
   return !key.n.is_negative() && key.n.is_odd() && key.n.bit_length() >= 128 &&
-         key.n.limb64_count() <= limb64::kMaxProtocolLimbs &&
+         key.n.limbs().size() <= limb64::kMaxProtocolLimbs &&
          !key.e.is_negative() && !key.e.is_zero() && key.e.bit_length() <= 64;
 }
 
@@ -285,7 +287,7 @@ RsaVerifyEngine::RsaVerifyEngine(const RsaPublicKey& key) {
   ctx_ = MontgomeryContextCache::global().get(key.n);
   k_ = ctx_->limb_count();
   mod_bytes_ = key.modulus_bytes();
-  key.e.to_limbs64(&e_, 1);
+  e_ = key.e.limbs()[0];
   e_bits_ = key.e.bit_length();
 }
 

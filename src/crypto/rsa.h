@@ -169,10 +169,6 @@ struct RsaSigningPlanConfig {
   /// decorrelating consecutive exponentiation inputs). Values <= 1 draw a
   /// fresh pair for every operation.
   std::uint64_t blinding_refresh_interval = 32;
-  /// Bellcore fault-attack guard: verify every CRT-recombined result with
-  /// the public exponent before releasing it, falling back to the non-CRT
-  /// exponentiation on mismatch.
-  bool crt_fault_check = true;
 };
 
 /// Precomputed per-key signing state — the drone-side fast path.
@@ -185,7 +181,9 @@ struct RsaSigningPlanConfig {
 ///   - two FixedExponentPlans (d_p mod p, d_q mod q) built once;
 ///   - a cached blinding pair, refreshed by squaring and re-randomized
 ///     from the RNG every `blinding_refresh_interval` operations;
-///   - a CRT fault guard (cheap public-exponent check) so a faulted
+///   - a CRT fault guard (Bellcore defence): every CRT-recombined result
+///     is checked with the public exponent before it is released, and a
+///     mismatch falls back to the non-CRT exponentiation, so a faulted
 ///     recombination can never leak a signature that factors the key.
 /// Signatures are byte-identical to rsa_sign / rsa_sign_blinded output.
 ///
@@ -220,7 +218,12 @@ class RsaSigningPlan {
 
   RsaPrivateKey key_;
   RsaSigningPlanConfig config_;
+  // Contexts the plans borrow; declared first so they outlive the plans.
   std::shared_ptr<const MontgomeryContext> ctx_n_;
+  std::shared_ptr<const MontgomeryContext> ctx_p_;
+  std::shared_ptr<const MontgomeryContext> ctx_q_;
+  // Public-exponent plan: the fault guard and blinding-pair draws.
+  std::unique_ptr<FixedExponentPlan> plan_e_;
   // CRT plans, or a single d-plan for keys without CRT parameters.
   std::unique_ptr<FixedExponentPlan> plan_p_;
   std::unique_ptr<FixedExponentPlan> plan_q_;

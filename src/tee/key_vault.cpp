@@ -25,12 +25,6 @@ crypto::Bytes KeyVault::sign(std::span<const std::uint8_t> message,
   return crypto::rsa_sign(priv_, message, hash);
 }
 
-crypto::Bytes KeyVault::sign_blinded(std::span<const std::uint8_t> message,
-                                     crypto::HashAlgorithm hash,
-                                     crypto::RandomSource& rng) const {
-  return crypto::rsa_sign_blinded(priv_, message, hash, rng);
-}
-
 crypto::Bytes KeyVault::sign_fast(std::span<const std::uint8_t> message,
                                   crypto::HashAlgorithm hash,
                                   crypto::RandomSource& rng) const {

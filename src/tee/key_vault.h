@@ -40,16 +40,12 @@ class KeyVault {
   crypto::Bytes sign(std::span<const std::uint8_t> message,
                      crypto::HashAlgorithm hash) const;
 
-  /// Sign with Kocher blinding — the TEE signs attacker-influenced bytes
-  /// (GPS data an adversary can shape through the UART), so the private
-  /// exponentiation must not leak timing correlated with the message.
-  crypto::Bytes sign_blinded(std::span<const std::uint8_t> message,
-                             crypto::HashAlgorithm hash,
-                             crypto::RandomSource& rng) const;
-
   /// Fast path: blinded signature through the vault's RsaSigningPlan
   /// (cached CRT window plans + blinding-pair reuse + CRT fault guard).
-  /// Byte-identical to sign()/sign_blinded() output; serialized with an
+  /// Kocher blinding matters here: the TEE signs attacker-influenced
+  /// bytes (GPS data an adversary can shape through the UART), so the
+  /// private exponentiation must not leak timing correlated with the
+  /// message. Byte-identical to sign() output; serialized with an
   /// internal mutex because the plan state is mutable.
   crypto::Bytes sign_fast(std::span<const std::uint8_t> message,
                           crypto::HashAlgorithm hash,

@@ -137,7 +137,7 @@ TEST(AllocGuard, MontgomeryKernelsAllocateNothing) {
     const MontgomeryContext ctx(m);
     const limb64::Mont& mont = ctx.mont();
     std::vector<limb64::Limb> a(k), t(k + 2);
-    rng.random_range(BigInt(0), m - BigInt(1)).to_limbs64(a.data(), k);
+    ctx.load(rng.random_range(BigInt(0), m - BigInt(1)), a.data());
 
     const std::uint64_t before = allocations();
     for (int i = 0; i < 64; ++i) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <stdexcept>
 
 #include "crypto/bigint.h"
@@ -98,13 +99,18 @@ TEST(BigInt, DivisionMultiLimbKnuthD) {
 }
 
 TEST(BigInt, DivisionAddBackCase) {
-  // Exercise the rare "add back" branch of Knuth D: divisor with a
-  // maximal leading limb pattern.
-  const BigInt b = (BigInt(1) << 96) - BigInt(1);
-  const BigInt a = (b * BigInt::from_string("0xffffffffffffffff")) + (b - BigInt(2));
+  // Exercise the rare "add back" branch of Knuth D (base 2^64). The
+  // divisor 2^191 + 1 is already normalized: limbs 2^63, 0, 1. For the
+  // dividend's top limbs 2 and 2^63 the two-limb estimate is
+  // q_hat = (2 * 2^64 + 2^63) / 2^63 = 5 with remainder 0, the zero
+  // middle limb lets it pass the second-limb test, and the true digit
+  // is 4: the multiply-subtract goes negative and must be added back.
+  const BigInt b = (BigInt(1) << 191) + BigInt(1);
+  const BigInt a = (BigInt(1) << 193) + (BigInt(1) << 191) + BigInt(3);
   const auto dm = a.divmod(b);
+  EXPECT_EQ(dm.quotient, BigInt(4));
+  EXPECT_EQ(dm.remainder, (BigInt(1) << 191) - BigInt(1));
   EXPECT_EQ(dm.quotient * b + dm.remainder, a);
-  EXPECT_TRUE(dm.remainder < b);
 }
 
 TEST(BigInt, ShiftsRoundTrip) {
@@ -206,13 +212,32 @@ TEST(BigInt, CompareTotalOrder) {
 
 // Property sweeps over random operands: algebraic laws that must hold for
 // any correct big-integer implementation.
+// Odd seeds mix in limb-boundary magnitudes, where carries, borrows and
+// Knuth D's estimates cross whole 64-bit limbs: each second draw takes the
+// next one in turn, starting at a seed-dependent offset.
 class BigIntAlgebra : public ::testing::TestWithParam<int> {
  protected:
   DeterministicRandom rng_{static_cast<std::uint64_t>(GetParam()) * 7919u + 3u};
+  std::size_t draws_ = 0;
+
+  static BigInt limb_boundary(std::size_t i) {
+    const BigInt one(1);
+    const BigInt values[] = {
+        (one << 63) - one,  (one << 63) + one,  (one << 64) - one,
+        (one << 64) + one,  (one << 128) - one, (one << 192) - one,
+        (one << 256) - one, (one << 256) - (one << 64),  // all-ones limbs
+    };
+    return values[i % std::size(values)];
+  }
 
   BigInt random_value(std::size_t max_bits) {
-    const std::size_t bits = 1 + rng_.uniform(max_bits);
-    BigInt v = rng_.random_bits(bits);
+    BigInt v;
+    if (GetParam() % 2 == 1 && draws_++ % 2 == 0) {
+      v = limb_boundary(static_cast<std::size_t>(GetParam()) / 2 + draws_ / 2);
+    } else {
+      const std::size_t bits = 1 + rng_.uniform(max_bits);
+      v = rng_.random_bits(bits);
+    }
     if (rng_.uniform(2) == 1) v = -v;
     return v;
   }
@@ -273,11 +298,11 @@ TEST_P(BigIntAlgebra, ModPowMultiplicative) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, BigIntAlgebra, ::testing::Range(0, 24));
 
-// Large operands cross the Karatsuba threshold (32 limbs); verify the
-// recursive path against division (exact inverse) and distributivity.
-class KaratsubaProperty : public ::testing::TestWithParam<std::size_t> {};
+// Large operands, 16 to 128 limbs: the schoolbook product checked against
+// division (its exact inverse) and distributivity.
+class LargeOperandProperty : public ::testing::TestWithParam<std::size_t> {};
 
-TEST_P(KaratsubaProperty, ProductConsistentWithDivision) {
+TEST_P(LargeOperandProperty, ProductConsistentWithDivision) {
   const std::size_t bits = GetParam();
   DeterministicRandom rng(bits);
   const BigInt a = rng.random_bits(bits);
@@ -286,22 +311,22 @@ TEST_P(KaratsubaProperty, ProductConsistentWithDivision) {
   EXPECT_EQ(p / a, b);
   EXPECT_EQ(p % a, BigInt(0));
   EXPECT_EQ(p / b, a);
-  // Distributivity across the threshold boundary.
+  // Distributivity with a one-limb addend.
   const BigInt c = rng.random_bits(64);
   EXPECT_EQ((a + c) * b, p + c * b);
 }
 
-TEST_P(KaratsubaProperty, AsymmetricOperandSizes) {
+TEST_P(LargeOperandProperty, AsymmetricOperandSizes) {
   const std::size_t bits = GetParam();
   DeterministicRandom rng(bits + 999);
   const BigInt a = rng.random_bits(bits);
-  const BigInt b = rng.random_bits(1100);  // just above threshold
+  const BigInt b = rng.random_bits(1100);  // 18 limbs
   const BigInt p = a * b;
   EXPECT_EQ(p / b, a);
   EXPECT_EQ(p % b, BigInt(0));
 }
 
-INSTANTIATE_TEST_SUITE_P(Sizes, KaratsubaProperty,
+INSTANTIATE_TEST_SUITE_P(Sizes, LargeOperandProperty,
                          ::testing::Values(1024, 1536, 2048, 4096, 8192));
 
 }  // namespace

@@ -68,8 +68,8 @@ void check_kernel_width(DeterministicRandom& rng) {
         in_place(K), t(K + 2);
     for (const BigInt& x : operands) {
       for (const BigInt& y : operands) {
-        x.to_limbs64(a.data(), K);
-        y.to_limbs64(b.data(), K);
+        ctx.load(x, a.data());
+        ctx.load(y, b.data());
         limb64::mont_mul_k<0>(mont, a.data(), b.data(), generic.data(), t.data());
         limb64::mont_mul_k<K>(mont, a.data(), b.data(), fixed.data(), t.data());
         limb64::mont_mul(mont, a.data(), b.data(), dispatched.data(), t.data());
@@ -79,23 +79,23 @@ void check_kernel_width(DeterministicRandom& rng) {
         EXPECT_EQ(fixed, generic);
         EXPECT_EQ(dispatched, generic);
         EXPECT_EQ(in_place, generic);
-        EXPECT_EQ(BigInt::from_limbs64(generic.data(), K),
+        EXPECT_EQ(BigInt::from_limbs(generic),
                   (x * y).mod(m) * r_inv % m);
       }
       // Squaring with every argument aliased, as the exponentiation loops
       // call it.
-      x.to_limbs64(a.data(), K);
+      ctx.load(x, a.data());
       limb64::mont_mul_k<0>(mont, a.data(), a.data(), generic.data(), t.data());
       limb64::mont_mul_k<K>(mont, a.data(), a.data(), a.data(), t.data());
       EXPECT_EQ(a, generic);
 
       // redc inverts to_mont exactly.
-      ctx.to_mont(x).to_limbs64(a.data(), K);
+      ctx.load(ctx.to_mont(x), a.data());
       limb64::redc(mont, a.data(), a.data(), t.data());
-      EXPECT_EQ(BigInt::from_limbs64(a.data(), K), x);
+      EXPECT_EQ(BigInt::from_limbs(a), x);
     }
 
-    // modexp: square-multiply (<= 64 bits) and windowed (wide exponent).
+    // modexp through the sliding-window plan: 3-bit and 5-bit windows.
     const BigInt base = operands.back();
     for (const std::size_t ebits : {40u, 256u}) {
       const BigInt e = rng.random_bits(ebits);
