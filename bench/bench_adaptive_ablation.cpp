@@ -51,14 +51,11 @@ AblationResult run_case(const sim::Scenario& scenario, double vmax, double gps_r
 }  // namespace
 }  // namespace alidrone::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace alidrone;
   using namespace alidrone::bench;
   using sim::Route;
 
-  const auto json_path = take_json_flag(argc, argv);
-  const MetricsDump metrics_dump(take_metrics_flag(argc, argv),
-                                 "bench_adaptive_ablation");
   print_header("Adaptive-sampling ablation: samples vs zone distance");
   std::printf("  (1 km drive at 10 m/s past one 20 ft zone; GPS 5 Hz, v_max 100 mph)\n");
   std::printf("  %-18s %10s %12s\n", "lateral offset", "#samples", "#violations");
@@ -144,20 +141,5 @@ int main(int argc, char** argv) {
                         by_vmax.front() < by_vmax.back() &&
                         certified_focal <= disjoint_exact;
   std::printf("\nshape (monotone trends): %s\n", shape_ok ? "OK" : "MISMATCH");
-
-  if (json_path) {
-    JsonRecordWriter writer(*json_path);
-    writer.write("adaptive_ablation", "nearest_zone", "samples",
-                 static_cast<double>(by_distance.front()));
-    writer.write("adaptive_ablation", "farthest_zone", "samples",
-                 static_cast<double>(by_distance.back()));
-    writer.write("adaptive_ablation", "densest", "samples",
-                 static_cast<double>(by_density.back()));
-    writer.write("adaptive_ablation", "focal_test", "certified",
-                 static_cast<double>(certified_focal));
-    writer.write("adaptive_ablation", "focal_test", "exact_disjoint",
-                 static_cast<double>(disjoint_exact));
-    writer.write("adaptive_ablation", "all", "shape_ok", shape_ok ? 1.0 : 0.0);
-  }
   return shape_ok ? 0 : 1;
 }

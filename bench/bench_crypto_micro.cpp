@@ -4,8 +4,6 @@
 // ratios are what matter: RSA-2048 sign >> RSA-1024 sign >> HMAC).
 #include <benchmark/benchmark.h>
 
-#include "bench_util.h"
-
 #include "crypto/chacha20.h"
 #include "crypto/ecdsa.h"
 #include "crypto/hash_chain.h"
@@ -305,6 +303,4 @@ BENCHMARK(BM_MillerRabin)->Arg(256)->Arg(512)->Unit(benchmark::kMillisecond);
 }  // namespace
 }  // namespace alidrone::crypto
 
-int main(int argc, char** argv) {
-  return alidrone::bench::benchmark_main_with_json(argc, argv);
-}
+BENCHMARK_MAIN();

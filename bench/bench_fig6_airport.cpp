@@ -52,13 +52,10 @@ Series run_series(const sim::Scenario& scenario, const std::string& name,
 }  // namespace
 }  // namespace alidrone::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace alidrone;
   using namespace alidrone::bench;
 
-  const auto json_path = take_json_flag(argc, argv);
-  const MetricsDump metrics_dump(take_metrics_flag(argc, argv),
-                                 "bench_fig6_airport");
   const sim::Scenario scenario = sim::make_airport_scenario(kStartTime);
 
   print_header("Figure 6: airport scenario (NFZ radius 5 mi, receding drive)");
@@ -108,19 +105,5 @@ int main(int argc, char** argv) {
       core::check_sufficiency(fixes, scenario.zones, geo::kFaaMaxSpeedMps);
   std::printf("adaptive PoA sufficiency (eq. 1): %s\n",
               report.sufficient ? "SUFFICIENT" : "INSUFFICIENT");
-
-  if (json_path) {
-    JsonRecordWriter writer(*json_path);
-    writer.write("fig6_airport", "fixed_1hz", "total_samples",
-                 static_cast<double>(fixed.total_samples));
-    writer.write("fig6_airport", "adaptive", "total_samples",
-                 static_cast<double>(adaptive.total_samples));
-    writer.write("fig6_airport", "adaptive", "sample_reduction",
-                 static_cast<double>(fixed.total_samples) /
-                     static_cast<double>(
-                         std::max<std::size_t>(1, adaptive.total_samples)));
-    writer.write("fig6_airport", "adaptive", "sufficient",
-                 report.sufficient ? 1.0 : 0.0);
-  }
   return report.sufficient ? 0 : 1;
 }

@@ -82,13 +82,10 @@ int count_at(const std::vector<std::pair<double, int>>& series, double t) {
 }  // namespace
 }  // namespace alidrone::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace alidrone;
   using namespace alidrone::bench;
 
-  const auto json_path = take_json_flag(argc, argv);
-  const MetricsDump metrics_dump(take_metrics_flag(argc, argv),
-                                 "bench_fig8_residential");
   const sim::Scenario scenario = sim::make_residential_scenario(kStartTime);
   const auto zones = scenario.local_zones();
 
@@ -187,20 +184,5 @@ int main(int argc, char** argv) {
       outcomes[3].insufficient <= outcomes[2].insufficient + 1 &&  // adaptive ~ 5Hz
       outcomes[3].samples < outcomes[2].samples;               // with fewer samples
   std::printf("shape vs paper: %s\n", shape_ok ? "OK" : "MISMATCH");
-
-  if (json_path) {
-    JsonRecordWriter writer(*json_path);
-    for (const PolicyOutcome& o : outcomes) {
-      std::string config = o.name;
-      for (char& c : config) {
-        if (c == ' ') c = '_';
-      }
-      writer.write("fig8_residential", config, "samples",
-                   static_cast<double>(o.samples));
-      writer.write("fig8_residential", config, "insufficient_poas",
-                   static_cast<double>(o.insufficient));
-    }
-    writer.write("fig8_residential", "all", "shape_ok", shape_ok ? 1.0 : 0.0);
-  }
   return shape_ok ? 0 : 1;
 }

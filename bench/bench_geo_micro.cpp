@@ -4,8 +4,6 @@
 // Algorithm 1 and the verifier run constantly.
 #include <benchmark/benchmark.h>
 
-#include "bench_util.h"
-
 #include <string>
 #include <vector>
 
@@ -142,6 +140,4 @@ BENCHMARK(BM_HaversineDistance);
 }  // namespace
 }  // namespace alidrone::geo
 
-int main(int argc, char** argv) {
-  return alidrone::bench::benchmark_main_with_json(argc, argv);
-}
+BENCHMARK_MAIN();

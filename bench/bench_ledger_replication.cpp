@@ -15,14 +15,8 @@
 //                backlog segment-by-segment from a peer. Check: the
 //                reapplied count equals W and both replicas end on the
 //                same root.
-//
-// Usage: bench_ledger_replication [--appends N] [--durable-appends N]
-//                                 [--writes W] [--json <path>]
-//                                 [--metrics <path>]
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <string>
 #include <vector>
@@ -47,18 +41,9 @@ double now_s() {
       .count();
 }
 
-struct Options {
-  std::size_t appends = 20000;
-  std::size_t durable_appends = 4000;
-  std::size_t writes = 100;  ///< replicated writes the laggard misses
-};
-
-std::optional<std::size_t> take_size_flag(int& argc, char** argv,
-                                          const std::string& name) {
-  const auto text = bench::take_path_flag(argc, argv, name);
-  if (!text) return std::nullopt;
-  return static_cast<std::size_t>(std::strtoull(text->c_str(), nullptr, 10));
-}
+constexpr std::size_t kAppends = 20000;
+constexpr std::size_t kDurableAppends = 4000;
+constexpr std::size_t kWrites = 100;  ///< replicated writes the laggard misses
 
 crypto::Bytes entry_payload(std::size_t i) {
   const std::string line = std::to_string(kT0 + static_cast<double>(i)) +
@@ -75,27 +60,18 @@ std::size_t fill(ledger::Ledger& led, std::size_t count) {
   return count;
 }
 
-int run(int argc, char** argv) {
-  const auto json_path = bench::take_json_flag(argc, argv);
-  const bench::MetricsDump metrics_dump(bench::take_metrics_flag(argc, argv),
-                                        "bench_ledger_replication");
-  Options opt;
-  if (const auto v = take_size_flag(argc, argv, "appends")) opt.appends = *v;
-  if (const auto v = take_size_flag(argc, argv, "durable-appends")) {
-    opt.durable_appends = *v;
-  }
-  if (const auto v = take_size_flag(argc, argv, "writes")) opt.writes = *v;
+int run() {
   bool ok = true;
 
   // ---- append throughput -------------------------------------------------
   bench::print_header("ledger append (segment_capacity=256)");
   ledger::Ledger memory_ledger;
   double start = now_s();
-  fill(memory_ledger, opt.appends);
+  fill(memory_ledger, kAppends);
   const double memory_elapsed = now_s() - start;
-  const double memory_aps = static_cast<double>(opt.appends) / memory_elapsed;
+  const double memory_aps = static_cast<double>(kAppends) / memory_elapsed;
   std::printf("  in-memory: %zu entries in %.3fs -> %.0f appends/sec\n",
-              opt.appends, memory_elapsed, memory_aps);
+              kAppends, memory_elapsed, memory_aps);
 
   const auto dir = std::filesystem::temp_directory_path() /
                    "alidrone-bench-ledger-replication";
@@ -106,16 +82,16 @@ int run(int argc, char** argv) {
     config.directory = dir;
     ledger::Ledger durable_ledger(config);
     start = now_s();
-    fill(durable_ledger, opt.durable_appends);
+    fill(durable_ledger, kDurableAppends);
     const double durable_elapsed = now_s() - start;
-    durable_aps = static_cast<double>(opt.durable_appends) / durable_elapsed;
+    durable_aps = static_cast<double>(kDurableAppends) / durable_elapsed;
     std::printf("  durable:   %zu entries in %.3fs -> %.0f appends/sec\n",
-                opt.durable_appends, durable_elapsed, durable_aps);
+                kDurableAppends, durable_elapsed, durable_aps);
 
     // Shape check: the durable stream is the same stream — its root after
     // N entries equals the in-memory ledger's root after the same N.
     ledger::Ledger prefix_ledger;
-    fill(prefix_ledger, opt.durable_appends);
+    fill(prefix_ledger, kDurableAppends);
     if (durable_ledger.root_hash() != prefix_ledger.root_hash()) {
       std::printf("  FAIL: durable root differs from in-memory root\n");
       ok = false;
@@ -128,10 +104,10 @@ int run(int argc, char** argv) {
   const ledger::Digest root = memory_ledger.root_hash();
   std::vector<ledger::Ledger::InclusionProof> proofs;
   std::vector<ledger::Digest> leaves;
-  proofs.reserve(opt.appends);
-  leaves.reserve(opt.appends);
+  proofs.reserve(kAppends);
+  leaves.reserve(kAppends);
   start = now_s();
-  for (std::uint64_t seq = 0; seq < opt.appends; ++seq) {
+  for (std::uint64_t seq = 0; seq < kAppends; ++seq) {
     auto proof = memory_ledger.prove(seq);
     if (!proof) {
       std::printf("  FAIL: no proof for seq %llu\n",
@@ -196,7 +172,7 @@ int run(int argc, char** argv) {
   crypto::DeterministicRandom owner_rng("bench-ledger-owner");
   core::ZoneOwner owner(512, owner_rng);
   const geo::LocalFrame frame(geo::GeoPoint{40.0, -88.0});
-  for (std::size_t i = 0; i < opt.writes; ++i) {
+  for (std::size_t i = 0; i < kWrites; ++i) {
     const geo::GeoZone zone{
         frame.to_geo(geo::Vec2{static_cast<double>(i) * 50.0, 400.0}), 30.0};
     owner.register_zone(bus, zone, "bench zone " + std::to_string(i),
@@ -208,43 +184,22 @@ int run(int argc, char** argv) {
   const auto reapplied = fed.catch_up(1, 0);
   const double catchup_elapsed = now_s() - start;
   const double catchup_wps =
-      static_cast<double>(opt.writes) / catchup_elapsed;
+      static_cast<double>(kWrites) / catchup_elapsed;
   std::printf("  %zu missed writes reapplied in %.3fs -> %.0f writes/sec\n",
-              opt.writes, catchup_elapsed, catchup_wps);
-  if (!reapplied || *reapplied != opt.writes || !fed.converged()) {
+              kWrites, catchup_elapsed, catchup_wps);
+  if (!reapplied || *reapplied != kWrites || !fed.converged()) {
     std::printf("  FAIL: reapplied=%lld converged=%d (want %zu, true)\n",
                 reapplied ? static_cast<long long>(*reapplied) : -1,
-                fed.converged() ? 1 : 0, opt.writes);
+                fed.converged() ? 1 : 0, kWrites);
     ok = false;
   }
 
   bench::print_rule();
   std::printf("shape checks: %s\n", ok ? "ok" : "FAILED");
-
-  if (json_path) {
-    bench::JsonRecordWriter writer(*json_path);
-    const std::string cfg = std::to_string(opt.appends) + "entries";
-    writer.write("ledger_replication", cfg + "/memory", "appends_per_sec",
-                 memory_aps);
-    writer.write("ledger_replication",
-                 std::to_string(opt.durable_appends) + "entries/durable",
-                 "appends_per_sec", durable_aps);
-    writer.write("ledger_replication", cfg, "proofs_per_sec", prove_ps);
-    writer.write("ledger_replication", cfg, "proof_verify_per_sec", verify_ps);
-    writer.write("ledger_replication",
-                 std::to_string(opt.writes) + "writes", "catchup_seconds",
-                 catchup_elapsed);
-    writer.write("ledger_replication",
-                 std::to_string(opt.writes) + "writes",
-                 "catchup_writes_per_sec", catchup_wps);
-    writer.write("ledger_replication", cfg, "shape_check_failures",
-                 ok ? 0.0 : 1.0);
-    if (!writer.ok()) return 1;
-  }
   return ok ? 0 : 1;
 }
 
 }  // namespace
 }  // namespace alidrone
 
-int main(int argc, char** argv) { return alidrone::run(argc, argv); }
+int main() { return alidrone::run(); }

@@ -4,8 +4,6 @@
 // per-request idempotency ids and breaker checks that make the layer safe.
 #include <benchmark/benchmark.h>
 
-#include "bench_util.h"
-
 #include <string>
 
 #include "crypto/bytes.h"
@@ -103,6 +101,4 @@ BENCHMARK(BM_CircuitBreakerHotPath);
 }  // namespace
 }  // namespace alidrone::resilience
 
-int main(int argc, char** argv) {
-  return alidrone::bench::benchmark_main_with_json(argc, argv);
-}
+BENCHMARK_MAIN();

@@ -17,24 +17,11 @@
 //
 // The TESLA hash-chain PoA mode replaces the per-sample private operation
 // with one chain-key HMAC tag (µs-class); the BM_Tesla* benches measure
-// it raw and through the full TA command. Before any benchmark runs the
-// process executes three mandatory exit checks (CI perf-smoke fails on
-// the nonzero exit):
-//   1. tesla-alloc-guard:  the per-sample tag path (chain-key derivation
-//      + MAC-key separation + tag) performs ZERO heap allocations;
-//   2. tesla-speedup:      a TESLA tag is >= 100x faster than a planned
-//      2048-bit RSA signature (the Table II headline of the mode);
-//   3. tesla-one-rsa:      a whole TESLA flight through the TA charges
-//      exactly ONE RSA private operation (the kTeslaBegin commitment) —
-//      per-sample and disclosure commands stay symmetric-only.
-//
-// Pass --json <path> for flat {bench, config, metric, value} records.
+// it raw and through the full TA command. The mode's gates (0 allocations
+// per tag, >= 100x vs planned RSA-2048, one RSA private op per flight)
+// are ctest cases in tests/perf_guard_test.cpp (label perf-guard).
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <chrono>
-#include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
@@ -43,31 +30,9 @@
 #include "crypto/random.h"
 #include "crypto/rsa.h"
 #include "gps/receiver_sim.h"
-#include "obs/metrics.h"
 #include "tee/gps_sampler_ta.h"
 #include "tee/sample_codec.h"
 #include "tee/secure_monitor.h"
-
-// ---- allocation counter (same idiom as bench_verify_throughput) --------
-// Counts every scalar/array new; frees are uncounted (the metric is
-// allocations per tag, not live bytes).
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-
-void* counted_alloc(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace alidrone {
 namespace {
@@ -290,169 +255,6 @@ void BM_TeslaTaPerSample(benchmark::State& state) {
 BENCHMARK(BM_TeslaTaPerSample)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
-
-// ---- mandatory exit checks (CI perf-smoke) ------------------------------
-
-/// The per-sample TESLA tag path must not touch the heap: chain-key
-/// re-derivation from a checkpoint, MAC-key separation and the tag itself
-/// are all fixed-width stack computation.
-bool run_tesla_alloc_guard() {
-  crypto::ChainKey seed{};
-  seed.fill(0x42);
-  const crypto::HashChain chain(seed, 1024);
-  const crypto::Bytes msg = sample_message();
-  // Warm-up (first call may fault in lazily allocated internals).
-  (void)crypto::tesla_tag(crypto::tesla_mac_key(chain.key(1)), 1, msg);
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-  std::size_t tags = 0;
-  for (std::uint64_t interval = 1; interval <= 1024; ++interval) {
-    const crypto::ChainKey mac_key = crypto::tesla_mac_key(chain.key(interval));
-    const crypto::ChainKey tag = crypto::tesla_tag(mac_key, interval, msg);
-    if (tag[0] == tag[1] && tag[1] == tag[2] && tag[2] == tag[3] &&
-        tag[0] == 0) {
-      // Statistically impossible for HMAC output; keeps the loop live.
-      std::fprintf(stderr, "tesla-alloc-guard: degenerate tag\n");
-      return false;
-    }
-    ++tags;
-  }
-  const std::uint64_t delta =
-      g_alloc_count.load(std::memory_order_relaxed) - before;
-  std::fprintf(stderr, "tesla-alloc-guard: %zu tags, %llu heap allocations\n",
-               tags, static_cast<unsigned long long>(delta));
-  return delta == 0;
-}
-
-/// The mode's headline: per-sample TESLA authentication must be at least
-/// 100x faster than the planned-RSA per-sample signature at 2048 bits.
-bool run_tesla_speedup_check() {
-  const crypto::RsaKeyPair& kp = key_for_bits(2048);
-  const crypto::Bytes msg = sample_message();
-  crypto::RsaSigningPlan plan(kp.priv);
-  crypto::DeterministicRandom rng(std::string_view("speedup-blinding"));
-
-  using clock = std::chrono::steady_clock;
-  constexpr int kRsaIters = 12;
-  (void)plan.sign(msg, crypto::HashAlgorithm::kSha1, rng);  // warm the plan
-  const auto rsa_start = clock::now();
-  for (int i = 0; i < kRsaIters; ++i) {
-    benchmark::DoNotOptimize(plan.sign(msg, crypto::HashAlgorithm::kSha1, rng));
-  }
-  const double rsa_s =
-      std::chrono::duration<double>(clock::now() - rsa_start).count() /
-      kRsaIters;
-
-  crypto::ChainKey seed{};
-  seed.fill(0x42);
-  const crypto::HashChain chain(seed, 1024);
-  constexpr int kTagIters = 200000;
-  const auto tag_start = clock::now();
-  for (int i = 0; i < kTagIters; ++i) {
-    const std::uint64_t interval = static_cast<std::uint64_t>(i % 1024) + 1;
-    const crypto::ChainKey mac_key = crypto::tesla_mac_key(chain.key(interval));
-    benchmark::DoNotOptimize(crypto::tesla_tag(mac_key, interval, msg));
-  }
-  const double tag_s =
-      std::chrono::duration<double>(clock::now() - tag_start).count() /
-      kTagIters;
-
-  const double speedup = tag_s > 0.0 ? rsa_s / tag_s : 0.0;
-  std::fprintf(stderr,
-               "tesla-speedup: planned RSA-2048 %.3f ms/sign, TESLA tag "
-               "%.3f us/tag -> %.0fx (need >= 100x)\n",
-               rsa_s * 1e3, tag_s * 1e6, speedup);
-  return speedup >= 100.0;
-}
-
-/// Sum of every key-vault private-operation counter in the process-wide
-/// registry (each DroneTee's vault registers its own instance scope).
-static std::uint64_t vault_private_ops() {
-  std::uint64_t total = 0;
-  for (const obs::MetricRecord& record :
-       obs::MetricsRegistry::global().snapshot()) {
-    if (record.name.find("key_vault") != std::string::npos &&
-        record.name.find(".private_ops") != std::string::npos) {
-      total += static_cast<std::uint64_t>(record.value);
-    }
-  }
-  return total;
-}
-
-/// A whole TESLA flight — commitment, 32 tagged samples, one disclosure —
-/// must charge exactly one RSA private operation (the commitment).
-bool run_tesla_one_rsa_check() {
-  tee::DroneTee tee = bench::make_bench_tee("tesla-one-rsa-device");
-
-  gps::GpsReceiverSim::Config rc;
-  rc.update_rate_hz = 5.0;
-  rc.start_time = kT0;
-  gps::GpsReceiverSim sim(rc, [](double t) {
-    gps::GpsFix f;
-    f.position = {40.1164 + 1e-6 * (t - kT0), -88.2434};
-    f.unix_time = t;
-    return f;
-  });
-  for (const std::string& s : sim.advance_to(kT0)) tee.feed_gps(s);
-
-  const std::uint64_t ops_before = vault_private_ops();
-
-  const auto be32 = [](std::uint32_t v) {
-    return crypto::Bytes{static_cast<std::uint8_t>(v >> 24),
-                         static_cast<std::uint8_t>(v >> 16),
-                         static_cast<std::uint8_t>(v >> 8),
-                         static_cast<std::uint8_t>(v)};
-  };
-  const crypto::Bytes interval_us{0, 0, 0, 0, 0, 0x03, 0x0D, 0x40};  // 200ms
-  const std::vector<crypto::Bytes> begin_params{be32(1024), be32(2),
-                                                interval_us};
-  const tee::InvokeResult begun = tee.monitor().invoke(
-      tee.sampler_uuid(), static_cast<std::uint32_t>(tee::SamplerCommand::kTeslaBegin),
-      begin_params);
-  if (!begun.ok()) {
-    std::fprintf(stderr, "tesla-one-rsa: kTeslaBegin failed\n");
-    return false;
-  }
-
-  double t = kT0;
-  std::size_t samples = 0;
-  for (int i = 0; i < 32; ++i) {
-    t += 1.0 / rc.update_rate_hz;
-    for (const std::string& s : sim.advance_to(t)) tee.feed_gps(s);
-    const tee::InvokeResult r = tee.monitor().invoke(
-        tee.sampler_uuid(),
-        static_cast<std::uint32_t>(tee::SamplerCommand::kGetGpsTesla));
-    if (r.ok()) ++samples;
-  }
-  if (samples != 32) {
-    std::fprintf(stderr, "tesla-one-rsa: %zu/32 samples tagged\n", samples);
-    return false;
-  }
-  // By now the TA's GPS time is t0 + 6.4s = interval 33; index 1 matured
-  // at t0 + (1 + 2) * 0.2s, so its disclosure must succeed RSA-free.
-  const std::vector<crypto::Bytes> disclose_params{
-      crypto::Bytes{0, 0, 0, 0, 0, 0, 0, 1}};
-  const tee::InvokeResult disclosed = tee.monitor().invoke(
-      tee.sampler_uuid(),
-      static_cast<std::uint32_t>(tee::SamplerCommand::kTeslaDisclose),
-      disclose_params);
-  if (!disclosed.ok()) {
-    std::fprintf(stderr, "tesla-one-rsa: kTeslaDisclose failed\n");
-    return false;
-  }
-
-  const std::uint64_t delta = vault_private_ops() - ops_before;
-  std::fprintf(stderr,
-               "tesla-one-rsa: %zu samples + 1 disclosure, %llu RSA private "
-               "ops (need exactly 1)\n",
-               samples, static_cast<unsigned long long>(delta));
-  return delta == 1;
-}
-
 }  // namespace alidrone
 
-int main(int argc, char** argv) {
-  if (!alidrone::run_tesla_alloc_guard()) return 1;
-  if (!alidrone::run_tesla_speedup_check()) return 1;
-  if (!alidrone::run_tesla_one_rsa_check()) return 1;
-  return alidrone::bench::benchmark_main_with_json(argc, argv);
-}
+BENCHMARK_MAIN();

@@ -54,13 +54,10 @@ void feed_one_fix(tee::DroneTee& tee) {
 }  // namespace
 }  // namespace alidrone::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace alidrone;
   using namespace alidrone::bench;
 
-  const auto json_path = take_json_flag(argc, argv);
-  const MetricsDump metrics_dump(take_metrics_flag(argc, argv),
-                                 "bench_signing_alternatives");
   print_header("Section VII-A1 ablation: per-sample authentication schemes");
 
   constexpr int kIterations = 200;
@@ -157,17 +154,5 @@ int main(int argc, char** argv) {
                         1.0 / rsa_2048 < 5.0 && 1.0 / rsa_1024 > 5.0 &&
                         1.0 / hmac_cost > 100.0;
   std::printf("shape vs paper: %s\n", shape_ok ? "OK" : "MISMATCH");
-
-  if (json_path) {
-    JsonRecordWriter writer(*json_path);
-    writer.write("signing_alternatives", "rsa_1024", "per_sample_s", rsa_per_sample);
-    writer.write("signing_alternatives", "hmac_session", "per_sample_s",
-                 hmac_per_sample);
-    writer.write("signing_alternatives", "batch", "per_sample_s", batch_per_sample);
-    writer.write("signing_alternatives", "pi3_rsa_1024", "max_rate_hz", 1.0 / rsa_1024);
-    writer.write("signing_alternatives", "pi3_rsa_2048", "max_rate_hz", 1.0 / rsa_2048);
-    writer.write("signing_alternatives", "pi3_hmac", "max_rate_hz", 1.0 / hmac_cost);
-    writer.write("signing_alternatives", "all", "shape_ok", shape_ok ? 1.0 : 0.0);
-  }
   return shape_ok ? 0 : 1;
 }

@@ -111,13 +111,10 @@ void print_row(const Row& row, double paper_cpu, const char* paper_note) {
 }  // namespace
 }  // namespace alidrone::bench
 
-int main(int argc, char** argv) {
+int main() {
   using namespace alidrone;
   using namespace alidrone::bench;
 
-  const auto json_path = take_json_flag(argc, argv);
-  const MetricsDump metrics_dump(take_metrics_flag(argc, argv),
-                                 "bench_table2_overhead");
   const CostProfile profile = CostProfile::raspberry_pi3();
   const sim::Scenario airport = sim::make_airport_scenario(kStartTime);
   const sim::Scenario residential = sim::make_residential_scenario(kStartTime);
@@ -155,24 +152,5 @@ int main(int argc, char** argv) {
                         res_1024.cpu_percent < f5_1024.cpu_percent &&
                         air_1024.cpu_percent < res_1024.cpu_percent;
   std::printf("shape vs paper: %s\n", shape_ok ? "OK" : "MISMATCH");
-
-  if (json_path) {
-    JsonRecordWriter writer(*json_path);
-    const auto record = [&](const char* config, const Row& row) {
-      writer.write("table2_overhead", config, "sustainable",
-                   row.sustainable ? 1.0 : 0.0);
-      if (row.sustainable) {
-        writer.write("table2_overhead", config, "cpu_percent", row.cpu_percent);
-        writer.write("table2_overhead", config, "power_watts", row.power_watts);
-      }
-    };
-    record("fixed_5hz_1024", f5_1024);
-    record("residential_adaptive_1024", res_1024);
-    record("airport_adaptive_1024", air_1024);
-    record("fixed_5hz_2048", f5_2048);
-    record("residential_adaptive_2048", res_2048);
-    writer.write("table2_overhead", "client", "memory_mb", mem.resident_mb());
-    writer.write("table2_overhead", "all", "shape_ok", shape_ok ? 1.0 : 0.0);
-  }
   return shape_ok ? 0 : 1;
 }

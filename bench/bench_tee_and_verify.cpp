@@ -3,8 +3,6 @@
 // out. Uses google-benchmark for the hot paths.
 #include <benchmark/benchmark.h>
 
-#include "bench_util.h"
-
 #include "core/auditor.h"
 #include "core/drone_client.h"
 #include "core/sampler.h"
@@ -242,6 +240,4 @@ BENCHMARK(BM_PlannerVisibilityGraph)->Arg(2)->Arg(8)->Arg(16)
 }  // namespace
 }  // namespace alidrone
 
-int main(int argc, char** argv) {
-  return alidrone::bench::benchmark_main_with_json(argc, argv);
-}
+BENCHMARK_MAIN();

@@ -1,18 +1,7 @@
 // Shared helpers for the figure/table regeneration benches.
-//
-// Machine-readable output: every bench accepts `--json <path>` (or
-// `--json=<path>`) and appends flat `{bench, config, metric, value}`
-// records to that file as a JSON array — the cross-PR perf-trajectory
-// format (`BENCH_*.json`). Plain benches use JsonRecordWriter directly;
-// google-benchmark benches include <benchmark/benchmark.h> *before* this
-// header and call `benchmark_main_with_json(argc, argv)` instead of
-// BENCHMARK_MAIN(), which tees every run and counter into the file.
 #pragma once
 
 #include <cstdio>
-#include <fstream>
-#include <memory>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,100 +9,10 @@
 #include "core/flight.h"
 #include "core/sampler.h"
 #include "geo/units.h"
-#include "obs/metrics.h"
 #include "sim/scenarios.h"
 #include "tee/secure_monitor.h"
 
 namespace alidrone::bench {
-
-/// Writes `{bench, config, metric, value}` records as a JSON array.
-/// Strings must not contain quotes/backslashes (benchmark identifiers
-/// never do; nothing here escapes them).
-class JsonRecordWriter {
- public:
-  explicit JsonRecordWriter(const std::string& path) : out_(path) {
-    out_ << "[";
-  }
-  ~JsonRecordWriter() { out_ << "\n]\n"; }
-
-  JsonRecordWriter(const JsonRecordWriter&) = delete;
-  JsonRecordWriter& operator=(const JsonRecordWriter&) = delete;
-
-  void write(const std::string& bench, const std::string& config,
-             const std::string& metric, double value) {
-    out_ << (first_ ? "\n" : ",\n") << "  {\"bench\": \"" << bench
-         << "\", \"config\": \"" << config << "\", \"metric\": \"" << metric
-         << "\", \"value\": " << value << "}";
-    first_ = false;
-  }
-
-  bool ok() const { return out_.good(); }
-
- private:
-  std::ofstream out_;
-  bool first_ = true;
-};
-
-/// Extract `--<name> <value>` / `--<name>=<value>` from argv (compacting
-/// it) so remaining flags can go to the bench's own parser.
-inline std::optional<std::string> take_path_flag(int& argc, char** argv,
-                                                 const std::string& name) {
-  const std::string bare = "--" + name;
-  const std::string eq = bare + "=";
-  std::optional<std::string> path;
-  int w = 1;
-  for (int r = 1; r < argc; ++r) {
-    const std::string arg = argv[r];
-    if (arg == bare && r + 1 < argc) {
-      path = argv[++r];
-    } else if (arg.rfind(eq, 0) == 0) {
-      path = arg.substr(eq.size());
-    } else {
-      argv[w++] = argv[r];
-    }
-  }
-  argc = w;
-  return path;
-}
-
-/// Extract `--json <path>` / `--json=<path>` from argv (compacting it).
-inline std::optional<std::string> take_json_flag(int& argc, char** argv) {
-  return take_path_flag(argc, argv, "json");
-}
-
-/// Extract `--metrics <path>` / `--metrics=<path>`: where to dump the
-/// process-wide obs::MetricsRegistry snapshot after the bench ran.
-inline std::optional<std::string> take_metrics_flag(int& argc, char** argv) {
-  return take_path_flag(argc, argv, "metrics");
-}
-
-/// Writes the global metrics-registry snapshot to `path` on destruction,
-/// as `{bench, "metrics", <metric name>, value}` records — the same
-/// JsonRecordWriter shape run_all.sh merges into BENCH_metrics.json.
-/// Constructed with nullopt it does nothing, so a bench main can hold one
-/// unconditionally:
-///   MetricsDump dump(take_metrics_flag(argc, argv), "bench_fig6_airport");
-class MetricsDump {
- public:
-  MetricsDump(std::optional<std::string> path, std::string bench)
-      : path_(std::move(path)), bench_(std::move(bench)) {}
-
-  MetricsDump(const MetricsDump&) = delete;
-  MetricsDump& operator=(const MetricsDump&) = delete;
-
-  ~MetricsDump() {
-    if (!path_) return;
-    JsonRecordWriter writer(*path_);
-    for (const obs::MetricRecord& record :
-         obs::MetricsRegistry::global().snapshot()) {
-      writer.write(bench_, "metrics", record.name, record.value);
-    }
-  }
-
- private:
-  std::optional<std::string> path_;
-  std::string bench_;
-};
 
 inline constexpr double kStartTime = 1528400000.0;
 
@@ -166,79 +65,3 @@ inline void print_rule() {
 }
 
 }  // namespace alidrone::bench
-
-// google-benchmark bridge — only compiled when <benchmark/benchmark.h>
-// was included before this header (the microbenches do; the plain
-// figure-regeneration benches don't link the benchmark library).
-#ifdef BENCHMARK_BENCHMARK_H_
-namespace alidrone::bench {
-
-/// Display reporter that renders the normal console output AND flattens
-/// every finished run into {bench, config, metric, value} records:
-/// per-iteration real/cpu seconds plus every user counter (already
-/// rate-finalized by the runner). A wrapper rather than a secondary file
-/// reporter because RunSpecifiedBenchmarks ties the file-reporter slot
-/// to --benchmark_out.
-class JsonRecordReporter : public benchmark::BenchmarkReporter {
- public:
-  explicit JsonRecordReporter(JsonRecordWriter& writer) : writer_(writer) {}
-
-  bool ReportContext(const Context& context) override {
-    console_.SetOutputStream(&GetOutputStream());
-    console_.SetErrorStream(&GetErrorStream());
-    return console_.ReportContext(context);
-  }
-
-  void ReportRuns(const std::vector<Run>& runs) override {
-    console_.ReportRuns(runs);
-    for (const Run& run : runs) {
-      if (run.error_occurred) continue;
-      const std::string name = run.benchmark_name();
-      const std::size_t slash = name.find('/');
-      const std::string bench = name.substr(0, slash);
-      const std::string config =
-          slash == std::string::npos ? "" : name.substr(slash + 1);
-      const double iters =
-          run.iterations > 0 ? static_cast<double>(run.iterations) : 1.0;
-      writer_.write(bench, config, "real_time_s",
-                    run.real_accumulated_time / iters);
-      writer_.write(bench, config, "cpu_time_s",
-                    run.cpu_accumulated_time / iters);
-      for (const auto& [counter_name, counter] : run.counters) {
-        writer_.write(bench, config, counter_name, counter.value);
-      }
-    }
-  }
-
-  void Finalize() override { console_.Finalize(); }
-
- private:
-  JsonRecordWriter& writer_;
-  benchmark::ConsoleReporter console_;
-};
-
-/// Drop-in BENCHMARK_MAIN() replacement with `--json <path>` and
-/// `--metrics <path>` support. The metrics dump (labelled with argv[0]'s
-/// basename) is written after every benchmark ran.
-inline int benchmark_main_with_json(int argc, char** argv) {
-  const std::optional<std::string> json_path = take_json_flag(argc, argv);
-  const std::optional<std::string> metrics_path = take_metrics_flag(argc, argv);
-  std::string bench_name = argc > 0 ? argv[0] : "bench";
-  const std::size_t sep = bench_name.find_last_of('/');
-  if (sep != std::string::npos) bench_name = bench_name.substr(sep + 1);
-  const MetricsDump metrics_dump(metrics_path, bench_name);
-  benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
-  if (json_path) {
-    JsonRecordWriter writer(*json_path);
-    JsonRecordReporter reporter(writer);
-    benchmark::RunSpecifiedBenchmarks(&reporter);
-  } else {
-    benchmark::RunSpecifiedBenchmarks();
-  }
-  benchmark::Shutdown();
-  return 0;
-}
-
-}  // namespace alidrone::bench
-#endif  // BENCHMARK_BENCHMARK_H_

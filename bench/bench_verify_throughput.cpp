@@ -4,22 +4,12 @@
 // ThreadPool-backed batch path (1/2/4/8 workers), and isolates the
 // Montgomery context cache by re-verifying under a cold cache
 // (R^2 setup rebuilt every operation) vs. the warm process-wide cache.
-// Same harness and JSON shape as the other google-benchmark micro
-// benches: pass --benchmark_format=json, or --json <path> for the flat
-// {bench, config, metric, value} perf-trajectory records (bench_util.h).
-// The process also runs a mandatory zero-allocation guard before the
-// benchmarks: a warm RsaVerifyEngine must complete its steady-state
-// verify loop with ZERO heap allocations (the CI perf-smoke job fails on
-// the nonzero exit). The counting-operator-new idiom matches
-// bench_auditor_scale.
+// The engine's zero-allocation gate is a ctest case
+// (tests/perf_guard_test.cpp, label perf-guard).
 #include <benchmark/benchmark.h>
 
-#include <atomic>
-#include <cstdio>
-#include <cstdlib>
 #include <vector>
 
-#include "bench_util.h"
 #include "core/auditor.h"
 #include "core/messages.h"
 #include "core/poa.h"
@@ -29,27 +19,6 @@
 #include "geo/geopoint.h"
 #include "runtime/thread_pool.h"
 #include "tee/sample_codec.h"
-
-// ---- allocation counter -------------------------------------------------
-// Counts every scalar/array new. Frees are uncounted (the metric is
-// allocations per verify, not live bytes).
-
-namespace {
-std::atomic<std::uint64_t> g_alloc_count{0};
-
-void* counted_alloc(std::size_t size) {
-  g_alloc_count.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(size ? size : 1)) return p;
-  throw std::bad_alloc();
-}
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_alloc(size); }
-void* operator new[](std::size_t size) { return counted_alloc(size); }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
 
 namespace alidrone {
 namespace {
@@ -191,41 +160,6 @@ void BM_SampleVerifiesEngine(benchmark::State& state) {
 BENCHMARK(BM_SampleVerifiesEngine)->Unit(benchmark::kMillisecond);
 
 }  // namespace
-
-/// Mandatory pre-benchmark guard: a warm engine's steady-state verify
-/// loop must not allocate. Returns false (process exits 1) on any heap
-/// traffic — the regression CI is watching for.
-bool run_verify_alloc_guard() {
-  VerifyCorpus& c = corpus();
-  crypto::RsaVerifyEngine engine(c.tee_keys.pub);
-  const core::ProofOfAlibi& poa = c.poas.front();
-  for (const core::SignedSample& s : poa.samples) {  // warm-up
-    if (!engine.verify(s.sample, s.signature, crypto::HashAlgorithm::kSha1)) {
-      std::fprintf(stderr, "alloc-guard: warm-up verify failed\n");
-      return false;
-    }
-  }
-  const std::uint64_t before = g_alloc_count.load(std::memory_order_relaxed);
-  std::size_t verifies = 0;
-  for (int round = 0; round < 64; ++round) {
-    for (const core::SignedSample& s : poa.samples) {
-      if (!engine.verify(s.sample, s.signature, crypto::HashAlgorithm::kSha1)) {
-        std::fprintf(stderr, "alloc-guard: verify failed\n");
-        return false;
-      }
-      ++verifies;
-    }
-  }
-  const std::uint64_t delta =
-      g_alloc_count.load(std::memory_order_relaxed) - before;
-  std::fprintf(stderr, "alloc-guard: %zu verifies, %llu heap allocations\n",
-               verifies, static_cast<unsigned long long>(delta));
-  return delta == 0;
-}
-
 }  // namespace alidrone
 
-int main(int argc, char** argv) {
-  if (!alidrone::run_verify_alloc_guard()) return 1;
-  return alidrone::bench::benchmark_main_with_json(argc, argv);
-}
+BENCHMARK_MAIN();

@@ -182,13 +182,15 @@ TeslaVerifier::DiscloseResult TeslaVerifier::disclose(
 
   // Settle every buffered interval at or below the disclosed index,
   // deriving the lower chain keys by walking down from K_index. One pass,
-  // highest interval first; erase as we go.
+  // highest interval first; erase as we go. Intervals above the index
+  // (a live sender is always ahead of its disclosures) stay buffered
+  // until their own key is out.
   crypto::ChainKey cur = key;
   std::uint64_t at = d.index;
-  while (!session.pending.empty()) {
-    const auto last = std::prev(session.pending.end());
+  auto next = session.pending.upper_bound(d.index);
+  while (next != session.pending.begin()) {
+    const auto last = std::prev(next);
     const std::uint64_t interval = last->first;
-    if (interval > d.index) break;  // still undisclosed (cannot happen; safe)
     while (at > interval) {
       cur = crypto::chain_step(cur);
       --at;
@@ -214,7 +216,7 @@ TeslaVerifier::DiscloseResult TeslaVerifier::disclose(
       samples_accepted_->increment();
     }
     session.pending_count -= last->second.size();
-    session.pending.erase(last);
+    next = session.pending.erase(last);
   }
   result.ack = {true,
                 "settled " + std::to_string(result.settled) + " samples"};

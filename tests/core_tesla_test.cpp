@@ -343,6 +343,23 @@ TEST_F(TeslaSecurityTest, ForgedTagBuffersThenRejectsAtDisclosure) {
   EXPECT_EQ(rejects[0].subject, rig_.client.id());
 }
 
+TEST_F(TeslaSecurityTest, LiveOrderDisclosureSettlesMaturedIntervals) {
+  open_session();
+  // A live sender tags interval i + 1 before it discloses K_{i-2}, so
+  // every disclosure finds higher intervals still buffered. It must settle
+  // the interval its key covers now, not when the flight's last key is out.
+  for (std::uint64_t tick = 0; tick < 8; ++tick) {
+    const TeslaSampleBroadcast sample = honest_sample(tick);
+    ASSERT_EQ(sample.interval, tick + 1);
+    ASSERT_TRUE(send(sample).accepted);
+    if (tick < 3) continue;
+    // fetch_key(tick - 2) moves the TA's clock to the next tick.
+    const TeslaAck ack = disclose(tick - 2, fetch_key(tick - 2));
+    EXPECT_TRUE(ack.accepted) << ack.detail;
+    EXPECT_EQ(ack.detail, "settled 1 samples") << "K_" << tick - 2;
+  }
+}
+
 TEST_F(TeslaSecurityTest, LateSampleFromDisclosedKeyRejected) {
   open_session();
   const crypto::Bytes key5 = fetch_key(5);

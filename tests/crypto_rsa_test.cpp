@@ -338,7 +338,9 @@ TEST(RsaDecrypt, CorruptedCiphertextRejected) {
   // Either padding fails (nullopt) or decrypts to something else; both are
   // acceptable for PKCS1 v1.5, but it must not equal the plaintext.
   const auto pt = rsa_decrypt(kp.priv, ct);
-  if (pt.has_value()) EXPECT_NE(*pt, to_bytes("secret"));
+  if (pt.has_value()) {
+    EXPECT_NE(*pt, to_bytes("secret"));
+  }
   EXPECT_EQ(rsa_decrypt(kp.priv, Bytes(3, 0)), std::nullopt);
 }
 

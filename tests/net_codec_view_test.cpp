@@ -83,14 +83,18 @@ void expect_readers_agree(const std::vector<int>& tags,
         const auto copy = owning.bytes();
         const auto view = viewing.bytes_view();
         ASSERT_EQ(copy.has_value(), view.has_value());
-        if (copy) EXPECT_EQ(*copy, Bytes(view->begin(), view->end()));
+        if (copy) {
+          EXPECT_EQ(*copy, Bytes(view->begin(), view->end()));
+        }
         break;
       }
       case 5: {
         const auto copy = owning.str();
         const auto view = viewing.str_view();
         ASSERT_EQ(copy.has_value(), view.has_value());
-        if (copy) EXPECT_EQ(*copy, std::string(*view));
+        if (copy) {
+          EXPECT_EQ(*copy, std::string(*view));
+        }
         break;
       }
     }
