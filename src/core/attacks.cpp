@@ -148,7 +148,7 @@ TeslaSampleBroadcast tesla_late_sample(const DroneId& drone_id,
     key = crypto::chain_step(key);
   }
   const crypto::ChainKey tag =
-      crypto::tesla_tag(crypto::tesla_mac_key(key), interval, out.sample);
+      crypto::tesla_tag(crypto::tesla_tag_key(key), interval, out.sample);
   out.tag.assign(tag.begin(), tag.end());
   return out;
 }

@@ -339,7 +339,7 @@ std::string Auditor::authenticate_samples(
   // chained down to the committed anchor, and every MAC key the proof
   // needs is captured along that single walk. One RSA verify total; the
   // rest is hashing.
-  std::map<std::uint64_t, crypto::ChainKey> tesla_keys;
+  std::map<std::uint64_t, crypto::HmacSha256> tesla_keys;
   std::vector<std::uint64_t> tesla_intervals;
   if (poa.mode == AuthMode::kTeslaChain) {
     if (poa.encrypted) return "encrypted TESLA PoA unsupported";
@@ -383,7 +383,7 @@ std::string Auditor::authenticate_samples(
         cur = crypto::chain_step(cur);
         --at;
       }
-      tesla_keys.emplace(*it, crypto::tesla_mac_key(cur));
+      tesla_keys.emplace(*it, crypto::tesla_tag_key(cur));
     }
     while (at > 0) {
       cur = crypto::chain_step(cur);

@@ -105,7 +105,7 @@ class Auditor {
   // The lossy-broadcast alternative to submit_poa: announce a chain
   // commitment, stream tagged samples, disclose keys, finalize. Calls
   // must be presented in a deterministic admission order (bind() serial
-  // endpoints, or AuditorIngest's commit phase) — then verdicts and
+  // endpoints, or AuditorIngest::submit_tesla) — then verdicts and
   // audit events are byte-identical for any thread or shard count.
 
   /// Verify the TEE commitment signature under the drone's registered T+

@@ -110,42 +110,38 @@ crypto::Bytes AuditorIngest::submit(std::span<const std::uint8_t> request_frame)
 crypto::Bytes AuditorIngest::submit_tesla(Kind kind,
                                           std::span<const std::uint8_t> frame) {
   submitted_->increment();
-  Item item;
-  item.kind = kind;
-  item.frame = pool_.acquire();
-  item.frame.assign(frame.begin(), frame.end());
-  auto future = item.reply.get_future();
-  if (!queue_.try_push(std::move(item))) {
-    pool_.release(std::move(item.frame));
+  const std::lock_guard<std::mutex> lock(commit_mu_);
+  if (stopped_) {
     retry_later_->increment();
     return net::retry_later_reply();
   }
   admitted_->increment();
-  return future.get();
+  return apply_tesla(kind, frame);
 }
 
-crypto::Bytes AuditorIngest::commit_tesla(const Item& item) {
-  switch (item.kind) {
+crypto::Bytes AuditorIngest::apply_tesla(Kind kind,
+                                         std::span<const std::uint8_t> frame) {
+  switch (kind) {
     case Kind::kTeslaAnnounce: {
-      const auto request = TeslaAnnounceRequest::decode(item.frame);
+      const auto request = TeslaAnnounceRequest::decode(frame);
       return (request ? auditor_.tesla_announce(*request)
                       : TeslaAck{false, "bad request"})
           .encode();
     }
     case Kind::kTeslaSample: {
-      const auto view = TeslaSampleBroadcastView::decode(item.frame);
+      const auto view = TeslaSampleBroadcastView::decode(frame);
       return (view ? auditor_.tesla_sample(*view)
                    : TeslaAck{false, "bad request"})
           .encode();
     }
     case Kind::kTeslaDisclose: {
-      const auto view = TeslaDiscloseRequestView::decode(item.frame);
+      const auto view = TeslaDiscloseRequestView::decode(frame);
       return (view ? auditor_.tesla_disclose(*view)
                    : TeslaAck{false, "bad request"})
           .encode();
     }
     case Kind::kTeslaFinalize: {
-      const auto request = TeslaFinalizeRequest::decode(item.frame);
+      const auto request = TeslaFinalizeRequest::decode(frame);
       if (!request) {
         PoaVerdict verdict;
         verdict.detail = "bad request";
@@ -153,10 +149,8 @@ crypto::Bytes AuditorIngest::commit_tesla(const Item& item) {
       }
       return auditor_.tesla_finalize(*request).encode();
     }
-    case Kind::kPoa:
-      break;  // unreachable: callers route kPoa through the verdict path
   }
-  return {};
+  return {};  // unreachable: every Kind returns above
 }
 
 void AuditorIngest::ingest_loop() {
@@ -195,10 +189,7 @@ void AuditorIngest::process_batch(std::vector<Item>& batch) {
   if (views_.size() < n) views_.resize(n);
   std::vector<char> parsed(n);
   for (std::size_t i = 0; i < n; ++i) {
-    parsed[i] = batch[i].kind == Kind::kPoa &&
-                        PoaView::parse_into(batch[i].frame, views_[i])
-                    ? 1
-                    : 0;
+    parsed[i] = PoaView::parse_into(batch[i].frame, views_[i]) ? 1 : 0;
   }
 
   // Evaluate — pure reads, so the whole batch can fan out.
@@ -240,16 +231,11 @@ void AuditorIngest::process_batch(std::vector<Item>& batch) {
   // Commit serially in admission order. The digest re-check makes same-
   // batch duplicates exactly-once: the second copy gets the first's
   // verdict verbatim with no second retention or audit event.
+  const std::lock_guard<std::mutex> lock(commit_mu_);
   for (std::size_t i = 0; i < n; ++i) {
     Item& item = batch[i];
     crypto::Bytes encoded;
-    if (item.kind != Kind::kPoa) {
-      // TESLA operations are order-sensitive (chain frontiers, buffered
-      // intervals) and cheap — symmetric crypto plus at most one RSA
-      // verify per flight — so they are applied here, serially, in
-      // admission order, never in the parallel evaluate phase.
-      encoded = commit_tesla(item);
-    } else if (!parsed[i]) {
+    if (!parsed[i]) {
       PoaVerdict verdict;
       verdict.detail = "unparseable PoA";
       encoded = verdict.encode();

@@ -20,6 +20,10 @@
 //            are byte-identical to the unbatched serial path for any
 //            shard, thread or batch size.
 //
+// TESLA broadcast operations skip the queue: submit_tesla applies each
+// one on the calling thread under the same commit mutex the batch commit
+// loop holds, so they stay serial with PoA commits (see submit_tesla).
+//
 // Exactly-once: the digest is re-checked at commit time, so two copies of
 // the same proof admitted into one batch still produce one retention and
 // one audit event (the second gets the first's cached verdict).
@@ -71,24 +75,26 @@ class AuditorIngest {
   /// rejects with retry-later). Safe from any number of threads.
   crypto::Bytes submit(std::span<const std::uint8_t> request_frame);
 
-  /// Which protocol operation a queued item carries. PoA submissions take
-  /// the batched, parallel-evaluated path; TESLA broadcast operations
-  /// ride the same FIFO but are applied strictly serially at commit time
-  /// (chain-frontier state is order-sensitive), so verdicts and audit
-  /// events stay byte-identical to the unbatched serial path for any
-  /// verify-thread or shard count.
+  /// Which TESLA broadcast operation a submit_tesla frame carries.
   enum class Kind : std::uint8_t {
-    kPoa,
     kTeslaAnnounce,
     kTeslaSample,
     kTeslaDisclose,
     kTeslaFinalize,
   };
 
-  /// Submit one TESLA operation frame through the pipeline; blocks until
-  /// its commit slot. No dedup (the verifier itself is idempotent where
-  /// the protocol needs it); a full queue answers retry-later, which a
-  /// lossy broadcaster treats as a drop.
+  /// Decode and apply one TESLA operation frame on the calling thread.
+  /// Each op is cheap (symmetric crypto plus at most one RSA verify per
+  /// flight) but order-sensitive (chain frontiers, buffered intervals),
+  /// so it runs under the commit mutex that the batch commit loop also
+  /// holds: TESLA ops are serial with each other and with PoA commits, in
+  /// lock-acquisition order. For one synchronous caller that is its
+  /// submission order, and verdicts and audit events are byte-identical
+  /// to the unbatched serial path for any verify-thread or shard count.
+  /// A full PoA queue does not turn TESLA ops away; an op waits for at
+  /// most one batch's commit phase. No dedup (the verifier itself is
+  /// idempotent where the protocol needs it). After stop() it answers
+  /// retry-later, which a lossy broadcaster treats as a drop.
   crypto::Bytes submit_tesla(Kind kind, std::span<const std::uint8_t> frame);
 
   /// Re-register "<prefix>.submit_poa" and the "<prefix>.tesla_*"
@@ -102,12 +108,13 @@ class AuditorIngest {
 
   /// Test hook: hold the ingest thread before its next batch, so tests
   /// can fill the queue deterministically and observe backpressure.
+  /// TESLA ops do not wait for it.
   void pause();
   void resume();
 
   struct Counters {
-    std::uint64_t submitted = 0;      ///< submit() calls
-    std::uint64_t admitted = 0;       ///< entered the queue
+    std::uint64_t submitted = 0;      ///< submit() and submit_tesla() calls
+    std::uint64_t admitted = 0;       ///< entered the queue, or TESLA ops applied
     std::uint64_t retry_later = 0;    ///< rejected with kRetryLater
     std::uint64_t duplicates = 0;     ///< answered from the dedup cache
     std::uint64_t malformed = 0;      ///< undecodable request frames
@@ -128,16 +135,14 @@ class AuditorIngest {
 
  private:
   struct Item {
-    Kind kind = Kind::kPoa;
-    crypto::Bytes frame;    ///< pooled; holds the PoA or TESLA op bytes
-    crypto::Bytes digest;   ///< SHA-256 of the PoA bytes (kPoa only)
+    crypto::Bytes frame;    ///< pooled; holds the PoA bytes
+    crypto::Bytes digest;   ///< SHA-256 of the PoA bytes
     std::promise<crypto::Bytes> reply;
   };
 
   void ingest_loop();
   void process_batch(std::vector<Item>& batch);
-  /// Decode and apply one TESLA item (commit phase, ingest thread only).
-  crypto::Bytes commit_tesla(const Item& item);
+  crypto::Bytes apply_tesla(Kind kind, std::span<const std::uint8_t> frame);
 
   Auditor& auditor_;
   Config config_;
@@ -148,7 +153,10 @@ class AuditorIngest {
   std::mutex pause_mu_;
   std::condition_variable pause_cv_;
   bool paused_ = false;
-  bool stopped_ = false;
+  std::atomic<bool> stopped_{false};  ///< written under pause_mu_
+
+  /// Held by the batch commit loop and by every TESLA op.
+  std::mutex commit_mu_;
 
   // Scratch reused across batches (ingest thread only).
   std::vector<PoaView> views_;

@@ -195,10 +195,10 @@ TeslaVerifier::DiscloseResult TeslaVerifier::disclose(
       cur = crypto::chain_step(cur);
       --at;
     }
-    const crypto::ChainKey mac_key = crypto::tesla_mac_key(cur);
+    const crypto::HmacSha256 tag_key = crypto::tesla_tag_key(cur);
     for (Buffered& buffered : last->second) {
       const crypto::ChainKey expected =
-          crypto::tesla_tag(mac_key, interval, buffered.sample);
+          crypto::tesla_tag(tag_key, interval, buffered.sample);
       if (!std::equal(expected.begin(), expected.end(), buffered.tag.begin(),
                       buffered.tag.end())) {
         samples_rejected_->increment();

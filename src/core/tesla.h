@@ -26,7 +26,7 @@
 // Everything here is deterministic in arrival order: given the same
 // sequence of announce/sample/disclose/finalize calls, verdicts, audit
 // events and retained proofs are byte-identical regardless of thread or
-// shard counts (AuditorIngest serializes TESLA ops in admission order).
+// shard counts (AuditorIngest serializes TESLA ops under its commit mutex).
 #pragma once
 
 #include <cstdint>
@@ -57,9 +57,10 @@ namespace alidrone::core {
 /// Verifier-side TESLA session table. Pure state machine: no audit log,
 /// no RSA — the Auditor verifies the commitment signature before calling
 /// announce() and turns the returned results into audit events. All entry
-/// points are serialized on one mutex; the intended caller (AuditorIngest
-/// commit phase, or Auditor::bind's serial endpoints) already presents
-/// operations in a deterministic admission order.
+/// points are serialized on one mutex; the intended caller
+/// (AuditorIngest::submit_tesla under the ingest commit mutex, or
+/// Auditor::bind's serial endpoints) already presents operations in a
+/// deterministic admission order.
 class TeslaVerifier {
  public:
   struct Config {

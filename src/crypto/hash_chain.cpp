@@ -1,5 +1,6 @@
 #include "crypto/hash_chain.h"
 
+#include <algorithm>
 #include <cmath>
 #include <stdexcept>
 
@@ -30,30 +31,6 @@ obs::Counter& frontier_hashes_counter() {
   return c;
 }
 
-// HMAC-SHA256 with a key no longer than one block, entirely on the stack.
-// crypto::Hmac allocates its pads; this path is what the per-sample
-// zero-allocation guard in bench_sign_throughput measures.
-Sha256::Digest hmac_fixed(const ChainKey& key,
-                          std::span<const std::uint8_t> part1,
-                          std::span<const std::uint8_t> part2) {
-  static_assert(kChainKeySize <= Sha256::kBlockSize);
-  std::array<std::uint8_t, Sha256::kBlockSize> pad{};
-  for (std::size_t i = 0; i < key.size(); ++i) pad[i] = key[i] ^ 0x36;
-  for (std::size_t i = key.size(); i < pad.size(); ++i) pad[i] = 0x36;
-
-  Sha256 inner;
-  inner.update(pad);
-  inner.update(part1);
-  inner.update(part2);
-  const Sha256::Digest inner_digest = inner.finalize();
-
-  for (auto& b : pad) b ^= 0x36 ^ 0x5c;  // flip ipad to opad in place
-  Sha256 outer;
-  outer.update(pad);
-  outer.update(inner_digest);
-  return outer.finalize();
-}
-
 }  // namespace
 
 ChainKey chain_step(const ChainKey& key) { return Sha256::hash(key); }
@@ -81,29 +58,42 @@ HashChain::HashChain(const ChainKey& seed, std::size_t length,
   // The seed itself is the final fallback checkpoint so key(length) and
   // the tail above the last stride boundary stay cheap.
   checkpoints_.push_back(seed);
+  // No segment spans more than a stride or the whole chain.
+  span_ = std::min(stride_, length_);
+  segment_keys_.resize(2 * span_);
 }
 
-ChainKey HashChain::key(std::size_t index) const {
+ChainKey HashChain::key(std::size_t index) {
   if (index < 1 || index > length_) {
     throw std::out_of_range("HashChain::key: index outside [1, length]");
   }
   // Nearest checkpoint at or above index: checkpoints_[j] holds
   // K_{(j+1)*stride_}, with the seed (K_length) appended last.
   const std::size_t j = (index + stride_ - 1) / stride_ - 1;
-  std::size_t at;
-  ChainKey cur;
-  if (j < checkpoints_.size() - 1) {
-    at = (j + 1) * stride_;
-    cur = checkpoints_[j];
-  } else {
-    at = length_;
-    cur = checkpoints_.back();
+  const bool below_seed = j < checkpoints_.size() - 1;
+  const std::size_t top = below_seed ? (j + 1) * stride_ : length_;
+  std::size_t slot = segments_[0].top == top ? 0 : 1;
+  if (segments_[slot].top != top) {
+    // Miss: refill the slot filled less recently. The TA's two access
+    // points (i and i - delay) only move up, so it holds the lower,
+    // finished segment.
+    slot = next_slot_;
+    next_slot_ ^= 1;
+    segments_[slot] = {top, top};
+    segment_keys_[slot * span_] =
+        below_seed ? checkpoints_[j] : checkpoints_.back();
   }
+  Segment& segment = segments_[slot];
+  ChainKey* keys = segment_keys_.data() + slot * span_;
   std::uint64_t steps = 0;
-  for (; at > index; --at, ++steps) cur = chain_step(cur);
-  derive_hashes_ += steps;
-  if (steps != 0) derive_hashes_counter().add(steps);
-  return cur;
+  for (; segment.low > index; --segment.low, ++steps) {
+    keys[top - segment.low + 1] = chain_step(keys[top - segment.low]);
+  }
+  if (steps != 0) {
+    derive_hashes_ += steps;
+    derive_hashes_counter().add(steps);
+  }
+  return keys[top - index];
 }
 
 ChainFrontier::ChainFrontier(const ChainKey& anchor, std::size_t length)
@@ -126,15 +116,15 @@ bool ChainFrontier::accept(std::size_t index, const ChainKey& key) {
 
 ChainKey tesla_mac_key(const ChainKey& chain_key) {
   static constexpr std::string_view kContext = "alidrone.tesla.mac.v1";
-  return hmac_fixed(
-      chain_key,
-      std::span<const std::uint8_t>(
-          reinterpret_cast<const std::uint8_t*>(kContext.data()),
-          kContext.size()),
-      {});
+  return HmacSha256(chain_key).mac_of(std::span<const std::uint8_t>(
+      reinterpret_cast<const std::uint8_t*>(kContext.data()), kContext.size()));
 }
 
-ChainKey tesla_tag(const ChainKey& mac_key, std::uint64_t interval,
+HmacSha256 tesla_tag_key(const ChainKey& chain_key) {
+  return HmacSha256(tesla_mac_key(chain_key));
+}
+
+ChainKey tesla_tag(const HmacSha256& tag_key, std::uint64_t interval,
                    std::span<const std::uint8_t> sample) {
   std::array<std::uint8_t, 8> be{};
   for (int i = 0; i < 8; ++i) {
@@ -142,7 +132,16 @@ ChainKey tesla_tag(const ChainKey& mac_key, std::uint64_t interval,
         static_cast<std::uint8_t>((interval >> (8 * (7 - i))) & 0xFF);
   }
   tag_ops_counter().increment();
-  return hmac_fixed(mac_key, be, sample);
+  return tag_key.mac_of(be, sample);
+}
+
+ChainKey TeslaTagger::tag(std::uint64_t interval,
+                          std::span<const std::uint8_t> sample) {
+  if (!key_ || interval != interval_) {
+    key_.emplace(tesla_tag_key(chain_.key(interval)));
+    interval_ = interval;
+  }
+  return tesla_tag(*key_, interval, sample);
 }
 
 }  // namespace alidrone::crypto

@@ -14,18 +14,26 @@
 //
 // Two sides, two caching strategies:
 //  - the sender (`HashChain`) keeps √N checkpoints so deriving K_i costs
-//    O(√N) hashes worst case and zero heap allocations;
+//    O(√N) hashes worst case and zero heap allocations, and caches the
+//    two segments it walked last, so in-order use costs ~N hashes total;
 //  - the verifier (`ChainFrontier`) keeps only the highest verified
 //    element (the frontier), so a whole flight's disclosures cost N
 //    hashes total no matter how many are dropped or arrive out of order.
+//
+// Tags are HMACs under a per-interval key. Every side builds that keyed
+// HMAC state once per interval (`tesla_tag_key`, 6 SHA-256 blocks) and
+// then spends 2 blocks per sample (`tesla_tag`); `TeslaTagger` is the
+// sender's per-interval cache.
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <optional>
 #include <span>
 #include <vector>
 
 #include "crypto/bytes.h"
+#include "crypto/hmac.h"
 #include "crypto/sha256.h"
 
 namespace alidrone::crypto {
@@ -44,6 +52,12 @@ ChainKey chain_step(const ChainKey& key);
 /// from the nearest checkpoint above it without touching the heap.
 /// stride = 1 caches the whole chain (O(1) lookup, N keys of memory);
 /// stride = 0 picks ceil(√N) — the classic O(√N) time/memory balance.
+///
+/// The keys between two checkpoints form a segment. The two segments
+/// walked most recently stay cached (2 · stride keys, allocated at
+/// construction), so the TA's access pattern — tags at interval i,
+/// disclosures at i − delay — walks each segment once instead of once per
+/// key, even where i and i − delay straddle a checkpoint.
 class HashChain {
  public:
   HashChain(const ChainKey& seed, std::size_t length,
@@ -57,18 +71,30 @@ class HashChain {
   const ChainKey& anchor() const { return anchor_; }
 
   /// Derive K_index (1 <= index <= length()). Zero allocations.
-  ChainKey key(std::size_t index) const;
+  ChainKey key(std::size_t index);
 
   /// Total SHA-256 invocations spent inside key() since construction
   /// (checkpoint-cache ablation metric; construction's N hashes excluded).
   std::uint64_t derive_hashes() const { return derive_hashes_; }
 
  private:
+  /// A cached segment holds K_low..K_top, walked down from the checkpoint
+  /// K_top; top == 0 marks an empty slot.
+  struct Segment {
+    std::size_t top = 0;
+    std::size_t low = 0;
+  };
+
   std::size_t length_;
   std::size_t stride_;
+  std::size_t span_;  ///< keys per segment slot: min(stride_, length_)
   ChainKey anchor_;
   std::vector<ChainKey> checkpoints_;  ///< checkpoints_[j] = K_{(j+1)*stride_}
-  mutable std::uint64_t derive_hashes_ = 0;
+  std::array<Segment, 2> segments_{};
+  /// Slot s holds K_i at segment_keys_[s * span_ + (top - i)].
+  std::vector<ChainKey> segment_keys_;
+  std::size_t next_slot_ = 0;  ///< the slot filled less recently
+  std::uint64_t derive_hashes_ = 0;
 };
 
 /// Verifier-side incremental chain state: starts at the committed anchor
@@ -106,10 +132,35 @@ class ChainFrontier {
 /// elements are never directly usable as MAC keys. Zero allocations.
 ChainKey tesla_mac_key(const ChainKey& chain_key);
 
-/// Per-sample tag: HMAC-SHA256(K'_i, BE64(interval) || sample). This is
-/// the entire per-sample signing cost of the TESLA PoA mode — a few µs
-/// against ~ms for a planned RSA private operation. Zero allocations.
-ChainKey tesla_tag(const ChainKey& mac_key, std::uint64_t interval,
+/// The keyed HMAC state that tags interval i's samples: HMAC-SHA256 keyed
+/// by K'_i, from the chain key K_i. Build it once per interval (6 SHA-256
+/// blocks). Zero allocations.
+HmacSha256 tesla_tag_key(const ChainKey& chain_key);
+
+/// Per-sample tag: HMAC-SHA256(K'_i, BE64(interval) || sample) under the
+/// interval's tag key. This is the entire per-sample signing cost of the
+/// TESLA PoA mode — 2 SHA-256 blocks for a 32-byte sample, against ~ms
+/// for a planned RSA private operation. Zero allocations.
+ChainKey tesla_tag(const HmacSha256& tag_key, std::uint64_t interval,
                    std::span<const std::uint8_t> sample);
+
+/// Sender-side tagging: the flight's chain plus the tag key of the
+/// interval tagged last. A sender tags in interval order, so each
+/// interval's key is derived and keyed once, however many samples it
+/// holds. This is the TA's per-sample path.
+class TeslaTagger {
+ public:
+  TeslaTagger(const ChainKey& seed, std::size_t length) : chain_(seed, length) {}
+
+  HashChain& chain() { return chain_; }
+
+  /// Tag one sample of `interval` (1 <= interval <= chain length).
+  ChainKey tag(std::uint64_t interval, std::span<const std::uint8_t> sample);
+
+ private:
+  HashChain chain_;
+  std::uint64_t interval_ = 0;  ///< interval of key_
+  std::optional<HmacSha256> key_;
+};
 
 }  // namespace alidrone::crypto

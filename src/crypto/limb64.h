@@ -5,7 +5,7 @@
 // calls the add/sub/mul/compare/byte kernels below, and the verify hot
 // path (MontgomeryContext, RsaVerifyEngine) runs entirely on stack or
 // preallocated buffers — zero heap allocations per operation, guarded by
-// the counting-operator-new ctest crypto_alloc_guard_test (label
+// the counting-operator-new ctest perf_guard_test (label
 // perf-guard). Products use 128-bit intermediates; the Montgomery
 // product is the CIOS form of REDC (Koc, Acar, Kaliski, "Analyzing and
 // Comparing Montgomery Multiplication Algorithms", 1996), which

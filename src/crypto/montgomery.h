@@ -13,7 +13,7 @@
 // a context reads the modulus through BigInt::limbs() and keeps R^2 mod m
 // and R mod m beside it, and every operation works in caller- or
 // member-owned scratch, so the verify inner loop performs zero heap
-// allocations (guarded by crypto_alloc_guard_test). There is one
+// allocations (guarded by perf_guard_test). There is one
 // windowed exponentiation, FixedExponentPlan's sliding window, and
 // MontgomeryContext::pow runs a one-off plan. The BigInt methods below
 // are the convenience boundary; the hot path (RsaVerifyEngine) uses
@@ -143,7 +143,8 @@ class FixedExponentPlan {
 /// Hits and misses are tracked twice: per-cache counters behind hits() /
 /// misses() (reset by clear(), asserted exactly by tests), and the
 /// cumulative process-wide `crypto.mont.cache_hits` / `cache_misses`
-/// counters in obs::MetricsRegistry::global() for `--metrics` snapshots.
+/// counters in obs::MetricsRegistry::global() (a registry snapshot
+/// reads them).
 class MontgomeryContextCache {
  public:
   static constexpr std::size_t kDefaultCapacity = 64;

@@ -99,7 +99,7 @@ bool emsa_pkcs1_encode_into(std::span<const std::uint8_t> message,
 /// Per-key RSASSA-PKCS1-v1_5 verifier with preallocated working state:
 /// verify() runs entirely on fixed member limb buffers over the limb64
 /// CIOS kernels, with zero heap allocations per call (guarded at 512 to
-/// 4096 bits by the counting-operator-new ctest crypto_alloc_guard_test,
+/// 4096 bits by the counting-operator-new ctest perf_guard_test,
 /// label perf-guard) and verdicts
 /// byte-identical to the generic BigInt path. Immutable key data is
 /// shared through the MontgomeryContextCache; the member buffers make

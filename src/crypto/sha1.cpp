@@ -87,17 +87,16 @@ void Sha1::update(std::span<const std::uint8_t> data) {
 }
 
 Sha1::Digest Sha1::finalize() {
+  // 0x80, zeros up to 8 bytes short of a block boundary, then the
+  // big-endian bit length: the whole padding in one update().
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update({&pad, 1});
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != kBlockSize - 8) update({&zero, 1});
-
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>((bit_len >> (56 - 8 * i)) & 0xFF);
+  std::array<std::uint8_t, 2 * kBlockSize> pad{};
+  pad[0] = 0x80;
+  const std::size_t zeros = (2 * kBlockSize - 9 - buffer_len_) % kBlockSize;
+  for (std::size_t i = 0; i < 8; ++i) {
+    pad[1 + zeros + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  update({len_be, 8});
+  update({pad.data(), 1 + zeros + 8});
 
   Digest out;
   for (int i = 0; i < 5; ++i) {

@@ -3,9 +3,20 @@
 #include <bit>
 #include <cstring>
 
+#include "obs/metrics.h"
+
 namespace alidrone::crypto {
 
 namespace {
+
+// Process-wide count of compressed blocks: the deterministic cost meter
+// of every SHA-256 user (TESLA chains and tags, digests, the ledger).
+obs::Counter& blocks_counter() {
+  static obs::Counter& c =
+      obs::MetricsRegistry::global().counter("crypto.sha256.blocks");
+  return c;
+}
+
 constexpr std::uint32_t kK[64] = {
     0x428a2f98, 0x71374491, 0xb5c0fbcf, 0xe9b5dba5, 0x3956c25b, 0x59f111f1,
     0x923f82a4, 0xab1c5ed5, 0xd807aa98, 0x12835b01, 0x243185be, 0x550c7dc3,
@@ -84,6 +95,7 @@ void Sha256::process_block(const std::uint8_t* block) {
 void Sha256::update(std::span<const std::uint8_t> data) {
   if (data.empty()) return;  // an empty span may carry a null data()
   total_len_ += data.size();
+  std::uint64_t blocks = 0;
   std::size_t offset = 0;
   if (buffer_len_ > 0) {
     const std::size_t take = std::min(kBlockSize - buffer_len_, data.size());
@@ -93,30 +105,32 @@ void Sha256::update(std::span<const std::uint8_t> data) {
     if (buffer_len_ == kBlockSize) {
       process_block(buffer_.data());
       buffer_len_ = 0;
+      ++blocks;
     }
   }
   while (offset + kBlockSize <= data.size()) {
     process_block(data.data() + offset);
     offset += kBlockSize;
+    ++blocks;
   }
   if (offset < data.size()) {
     std::memcpy(buffer_.data(), data.data() + offset, data.size() - offset);
     buffer_len_ = data.size() - offset;
   }
+  if (blocks != 0) blocks_counter().add(blocks);
 }
 
 Sha256::Digest Sha256::finalize() {
+  // 0x80, zeros up to 8 bytes short of a block boundary, then the
+  // big-endian bit length: the whole padding in one update().
   const std::uint64_t bit_len = total_len_ * 8;
-  const std::uint8_t pad = 0x80;
-  update({&pad, 1});
-  const std::uint8_t zero = 0x00;
-  while (buffer_len_ != kBlockSize - 8) update({&zero, 1});
-
-  std::uint8_t len_be[8];
-  for (int i = 0; i < 8; ++i) {
-    len_be[i] = static_cast<std::uint8_t>((bit_len >> (56 - 8 * i)) & 0xFF);
+  std::array<std::uint8_t, 2 * kBlockSize> pad{};
+  pad[0] = 0x80;
+  const std::size_t zeros = (2 * kBlockSize - 9 - buffer_len_) % kBlockSize;
+  for (std::size_t i = 0; i < 8; ++i) {
+    pad[1 + zeros + i] = static_cast<std::uint8_t>(bit_len >> (56 - 8 * i));
   }
-  update({len_be, 8});
+  update({pad.data(), 1 + zeros + 8});
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

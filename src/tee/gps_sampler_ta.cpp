@@ -260,13 +260,13 @@ InvokeResult GpsSamplerTA::tesla_begin(SessionId session,
   SessionState& st = state(session);
   crypto::ChainKey seed{};
   rng_.fill(seed);
-  st.tesla_chain = std::make_unique<crypto::HashChain>(seed, chain_length);
+  st.tesla = std::make_unique<crypto::TeslaTagger>(seed, chain_length);
   st.tesla_t0_us = time_us_of(fix->unix_time);
   st.tesla_interval_us = interval_us;
   st.tesla_delay = delay;
 
   TeslaCommit commit;
-  commit.anchor = st.tesla_chain->anchor();
+  commit.anchor = st.tesla->chain().anchor();
   commit.chain_length = chain_length;
   commit.disclosure_delay = delay;
   commit.interval_us = interval_us;
@@ -281,7 +281,7 @@ InvokeResult GpsSamplerTA::tesla_begin(SessionId session,
 
 InvokeResult GpsSamplerTA::get_gps_tesla(SessionId session) {
   SessionState& st = state(session);
-  if (st.tesla_chain == nullptr) return {TeeStatus::kNotReady, {}};
+  if (st.tesla == nullptr) return {TeeStatus::kNotReady, {}};
   const auto fix = driver_.get_gps();
   if (!fix || !fix->valid) return {TeeStatus::kNotReady, {}};
   if (!environment_trusted(*fix)) return {TeeStatus::kAccessDenied, {}};
@@ -292,13 +292,11 @@ InvokeResult GpsSamplerTA::get_gps_tesla(SessionId session) {
   const std::uint64_t interval =
       tesla_interval(t_us.value_or(-1), st.tesla_t0_us, st.tesla_interval_us);
   if (interval == 0) return {TeeStatus::kNotReady, {}};  // clock reversal
-  if (interval > st.tesla_chain->length()) {
+  if (interval > st.tesla->chain().length()) {
     return {TeeStatus::kOutOfResources, {}};  // chain exhausted
   }
   charge(resource::Op::kHmacSign);
-  const crypto::ChainKey mac_key =
-      crypto::tesla_mac_key(st.tesla_chain->key(interval));
-  const crypto::ChainKey tag = crypto::tesla_tag(mac_key, interval, sample);
+  const crypto::ChainKey tag = st.tesla->tag(interval, sample);
   return {TeeStatus::kSuccess,
           {sample, crypto::Bytes(tag.begin(), tag.end()),
            be64_bytes(interval)}};
@@ -307,12 +305,12 @@ InvokeResult GpsSamplerTA::get_gps_tesla(SessionId session) {
 InvokeResult GpsSamplerTA::tesla_disclose(SessionId session,
                                           std::span<const crypto::Bytes> params) {
   SessionState& st = state(session);
-  if (st.tesla_chain == nullptr) return {TeeStatus::kNotReady, {}};
+  if (st.tesla == nullptr) return {TeeStatus::kNotReady, {}};
   if (params.size() != 1 || params[0].size() != 8) {
     return {TeeStatus::kBadParameters, {}};
   }
   const std::uint64_t index = read_be(params[0], 0, 8);
-  if (index == 0 || index > st.tesla_chain->length()) {
+  if (index == 0 || index > st.tesla->chain().length()) {
     return {TeeStatus::kBadParameters, {}};
   }
   // Secure-world half of the TESLA security condition: K_index leaves the
@@ -326,7 +324,7 @@ InvokeResult GpsSamplerTA::tesla_disclose(SessionId session,
   if (now_us < release_us) return {TeeStatus::kAccessDenied, {}};
 
   charge(resource::Op::kHmacSign);
-  const crypto::ChainKey key = st.tesla_chain->key(index);
+  const crypto::ChainKey key = st.tesla->chain().key(index);
   return {TeeStatus::kSuccess, {crypto::Bytes(key.begin(), key.end())}};
 }
 

@@ -111,10 +111,11 @@ class GpsSamplerTA final : public TrustedApp {
     crypto::Bytes hmac_key;  // empty until established
     bool batch_active = false;
     std::size_t batch_count = 0;
-    // TESLA mode: the flight's hash chain and commitment parameters live
-    // only in the secure world; the normal world sees the anchor (in the
-    // signed commit payload), tags, and keys it is allowed to learn.
-    std::unique_ptr<crypto::HashChain> tesla_chain;
+    // TESLA mode: the flight's hash chain (with the current interval's
+    // tag key) and commitment parameters live only in the secure world;
+    // the normal world sees the anchor (in the signed commit payload),
+    // tags, and keys it is allowed to learn.
+    std::unique_ptr<crypto::TeslaTagger> tesla;
     std::int64_t tesla_t0_us = 0;
     std::uint64_t tesla_interval_us = 0;
     std::uint32_t tesla_delay = 0;

@@ -22,6 +22,7 @@ KeyVault KeyVault::manufacture(std::size_t key_bits, crypto::RandomSource& rng,
 
 crypto::Bytes KeyVault::sign(std::span<const std::uint8_t> message,
                              crypto::HashAlgorithm hash) const {
+  private_ops_->increment();
   return crypto::rsa_sign(priv_, message, hash);
 }
 
@@ -49,6 +50,7 @@ KeyVault::PlanStats KeyVault::plan_stats() const {
 
 std::optional<crypto::Bytes> KeyVault::decrypt(
     std::span<const std::uint8_t> ciphertext) const {
+  private_ops_->increment();
   return crypto::rsa_decrypt(priv_, ciphertext);
 }
 

@@ -54,6 +54,7 @@ class KeyVault {
   /// Plan introspection for tests/benches — a point-in-time view over the
   /// vault's registry counters (sign_fast publishes plan deltas there).
   struct PlanStats {
+    /// Every RSA private-key operation: sign_fast, sign and decrypt.
     std::uint64_t private_ops = 0;
     std::uint64_t blinding_refreshes = 0;
     std::uint64_t crt_fault_fallbacks = 0;

@@ -11,11 +11,14 @@
 //     string and audit event;
 //  3. determinism: the same admission-ordered operation sequence through
 //     AuditorIngest must produce byte-identical replies and audit logs
-//     for any verify-thread and shard count.
+//     for any verify-thread and shard count; TESLA ops from many threads
+//     stay correct while PoA batches commit beside them.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <optional>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "core/attacks.h"
@@ -479,7 +482,7 @@ TEST_F(TeslaSecurityTest, UnknownSessionAndMalformedInputsRejected) {
 // ---- Layer 3: determinism across ingest thread and shard counts ----
 
 struct RecordedOp {
-  AuditorIngest::Kind kind = AuditorIngest::Kind::kPoa;
+  AuditorIngest::Kind kind{};
   crypto::Bytes frame;
 };
 
@@ -653,6 +656,166 @@ TEST(TeslaIngestDeterminism, ByteIdenticalAcrossThreadAndShardCounts) {
     EXPECT_EQ(run.audit_lines, baseline.audit_lines)
         << "audit log diverged at threads=" << threads << " shards=" << shards;
   }
+}
+
+/// `count` valid RSA per-sample PoA submissions of 3 fixes each, signed by
+/// `tee` through kGetGpsAuth.
+std::vector<crypto::Bytes> signed_poa_frames(tee::DroneTee& tee,
+                                             const DroneId& drone_id,
+                                             std::size_t count) {
+  gps::GpsReceiverSim::Config rc;
+  rc.update_rate_hz = 1.0 / kTick;
+  rc.start_time = kT0;
+  gps::GpsReceiverSim receiver(rc, [](double t) {
+    gps::GpsFix f;
+    f.position = {40.0, -88.0 + 1e-6 * (t - kT0)};
+    f.unix_time = t;
+    return f;
+  });
+  std::vector<crypto::Bytes> frames;
+  double t = kT0;
+  for (std::size_t n = 0; n < count; ++n) {
+    ProofOfAlibi poa;
+    poa.drone_id = drone_id;
+    poa.mode = AuthMode::kRsaPerSample;
+    poa.hash = crypto::HashAlgorithm::kSha1;
+    for (int s = 0; s < 3; ++s) {
+      t += kTick;
+      for (const std::string& line : receiver.advance_to(t)) tee.feed_gps(line);
+      const tee::InvokeResult fix = tee.monitor().invoke(
+          tee.sampler_uuid(),
+          static_cast<std::uint32_t>(tee::SamplerCommand::kGetGpsAuth), {});
+      EXPECT_TRUE(fix.ok());
+      if (fix.outputs.size() == 2) {
+        poa.samples.push_back({fix.outputs[0], fix.outputs[1]});
+      }
+    }
+    SubmitPoaRequest request;
+    request.poa = poa.serialize();
+    frames.push_back(request.encode());
+  }
+  return frames;
+}
+
+/// One Auditor with `drones` registered drones, each with its own TEE.
+struct IngestRig {
+  explicit IngestRig(std::size_t drones)
+      : auditor_rng("tesla-concurrent-auditor"),
+        operator_rng("tesla-concurrent-operator"),
+        auditor(kTestKeyBits, auditor_rng) {
+    auditor.bind(bus);
+    for (std::size_t d = 0; d < drones; ++d) {
+      tee::DroneTee::Config config;
+      config.key_bits = kTestKeyBits;
+      config.manufacturing_seed = "tesla-concurrent-device-" + std::to_string(d);
+      tees.push_back(std::make_unique<tee::DroneTee>(config));
+      clients.push_back(
+          std::make_unique<DroneClient>(*tees.back(), kTestKeyBits, operator_rng));
+      EXPECT_TRUE(clients.back()->register_with_auditor(bus));
+    }
+  }
+
+  crypto::DeterministicRandom auditor_rng;
+  crypto::DeterministicRandom operator_rng;
+  Auditor auditor;
+  net::MessageBus bus;
+  std::vector<std::unique_ptr<tee::DroneTee>> tees;
+  std::vector<std::unique_ptr<DroneClient>> clients;
+};
+
+TEST(TeslaIngestConcurrency, SessionsFromManyThreadsFinalizeWhilePoaBatchesCommit) {
+  // Drone 0 submits PoAs from two threads; drones 1..4 each run a TESLA
+  // session (forged tag and disclosure included) from their own thread.
+  constexpr std::size_t kSessions = 4;
+  IngestRig rig(1 + kSessions);
+  const std::vector<crypto::Bytes> poas =
+      signed_poa_frames(*rig.tees[0], rig.clients[0]->id(), 16);
+  std::vector<std::vector<RecordedOp>> sessions;
+  for (std::size_t d = 1; d <= kSessions; ++d) {
+    sessions.push_back(record_session_ops(*rig.tees[d], rig.clients[d]->id()));
+  }
+
+  AuditorIngest::Config config;
+  config.verify_threads = 4;
+  config.max_batch = 4;
+  AuditorIngest ingest(rig.auditor, config);
+  std::vector<crypto::Bytes> poa_replies(poas.size());
+  std::vector<crypto::Bytes> finalize_replies(kSessions);
+  {
+    std::vector<std::thread> threads;
+    for (std::size_t p = 0; p < 2; ++p) {
+      threads.emplace_back([&, p] {
+        for (std::size_t i = p; i < poas.size(); i += 2) {
+          poa_replies[i] = ingest.submit(poas[i]);
+        }
+      });
+    }
+    for (std::size_t s = 0; s < kSessions; ++s) {
+      threads.emplace_back([&, s] {
+        for (const RecordedOp& op : sessions[s]) {
+          finalize_replies[s] = ingest.submit_tesla(op.kind, op.frame);
+        }
+      });
+    }
+    for (std::thread& t : threads) t.join();
+  }
+  ingest.stop();
+
+  for (std::size_t s = 0; s < kSessions; ++s) {
+    const auto verdict = PoaVerdict::decode(finalize_replies[s]);
+    ASSERT_TRUE(verdict.has_value()) << "session " << s;
+    EXPECT_TRUE(verdict->accepted) << "session " << s << ": " << verdict->detail;
+  }
+  for (std::size_t i = 0; i < poas.size(); ++i) {
+    const auto verdict = PoaVerdict::decode(poa_replies[i]);
+    ASSERT_TRUE(verdict.has_value()) << "PoA " << i;
+    EXPECT_TRUE(verdict->accepted) << "PoA " << i << ": " << verdict->detail;
+  }
+  EXPECT_EQ(rig.auditor.tesla_session_count(), 0u);
+  EXPECT_EQ(ingest.counters().committed, poas.size());
+}
+
+TEST(TeslaIngestConcurrency, FullPoaQueueDoesNotTurnTeslaOpsAway) {
+  IngestRig rig(1);
+  const std::vector<crypto::Bytes> poas =
+      signed_poa_frames(*rig.tees[0], rig.clients[0]->id(), 3);
+  AuditorIngest::Config config;
+  config.queue_capacity = 2;
+  AuditorIngest ingest(rig.auditor, config);
+
+  // One PoA held at the paused gate, two more filling the queue.
+  ingest.pause();
+  std::vector<std::thread> blocked;
+  blocked.emplace_back([&] { ingest.submit(poas[0]); });
+  while (ingest.counters().gate_waits == 0) std::this_thread::yield();
+  blocked.emplace_back([&] { ingest.submit(poas[1]); });
+  blocked.emplace_back([&] { ingest.submit(poas[2]); });
+  while (ingest.counters().admitted < 3) std::this_thread::yield();
+
+  TeslaFinalizeRequest finalize;
+  finalize.drone_id = rig.clients[0]->id();
+  finalize.session_nonce = kNonce;
+  const crypto::Bytes reply = ingest.submit_tesla(
+      AuditorIngest::Kind::kTeslaFinalize, finalize.encode());
+  EXPECT_FALSE(net::is_retry_later(reply));
+  const auto verdict = PoaVerdict::decode(reply);
+  ASSERT_TRUE(verdict.has_value());
+  EXPECT_EQ(verdict->detail, "unknown tesla session");
+
+  ingest.resume();
+  for (std::thread& t : blocked) t.join();
+}
+
+TEST(TeslaIngestConcurrency, SubmitTeslaAfterStopAnswersRetryLater) {
+  IngestRig rig(1);
+  AuditorIngest ingest(rig.auditor);
+  ingest.stop();
+  TeslaFinalizeRequest finalize;
+  finalize.drone_id = rig.clients[0]->id();
+  finalize.session_nonce = kNonce;
+  EXPECT_TRUE(net::is_retry_later(ingest.submit_tesla(
+      AuditorIngest::Kind::kTeslaFinalize, finalize.encode())));
+  EXPECT_EQ(ingest.counters().retry_later, 1u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include "crypto/hmac.h"
 #include "gps/receiver_sim.h"
+#include "obs/metrics.h"
 #include "tee/gps_sampler_ta.h"
 #include "tee/sample_codec.h"
 #include "tee/secure_monitor.h"
@@ -107,6 +108,24 @@ TEST(KeyVault, SignaturesVerifyWithExportedKey) {
   EXPECT_TRUE(crypto::rsa_verify(vault.verification_key(), msg, sig,
                                  crypto::HashAlgorithm::kSha256));
   EXPECT_EQ(vault.key_bits(), 512u);
+}
+
+TEST(KeyVault, EveryPrivateKeyOperationIsCounted) {
+  // sign, decrypt and sign_fast all use T-; each is one private op.
+  crypto::DeterministicRandom rng("vault-count-test");
+  obs::MetricsRegistry registry;
+  const KeyVault vault = KeyVault::manufacture(512, rng, &registry);
+  const crypto::Bytes msg = crypto::to_bytes("sample");
+  vault.sign(msg, crypto::HashAlgorithm::kSha256);
+  EXPECT_EQ(vault.plan_stats().private_ops, 1u);
+  const crypto::Bytes ciphertext =
+      crypto::rsa_encrypt(vault.verification_key(), msg, rng);
+  const auto plain = vault.decrypt(ciphertext);
+  ASSERT_TRUE(plain.has_value());
+  EXPECT_EQ(*plain, msg);
+  EXPECT_EQ(vault.plan_stats().private_ops, 2u);
+  vault.sign_fast(msg, crypto::HashAlgorithm::kSha256, rng);
+  EXPECT_EQ(vault.plan_stats().private_ops, 3u);
 }
 
 TEST_F(TeeFixture, GetGpsAuthBeforeAnyFixIsNotReady) {
