@@ -33,14 +33,7 @@ Auditor::Auditor(std::size_t key_bits, crypto::RandomSource& rng, ProtocolParams
   const std::string scope = reg.instance_scope("core.auditor");
   duplicate_submissions_ = &reg.counter(scope + ".duplicate_poa_submissions");
   duplicate_registrations_ = &reg.counter(scope + ".duplicate_registrations");
-  TeslaVerifier::Config tesla_config;
-  tesla_config.max_chain_length = params_.tesla_max_chain_length;
-  tesla_config.max_disclosure_delay = params_.tesla_max_disclosure_delay;
-  tesla_config.max_sessions = params_.tesla_max_sessions;
-  tesla_config.max_buffered_samples = params_.tesla_max_buffered_samples;
-  tesla_config.clock_skew_s = params_.tesla_clock_skew_s;
-  tesla_config.clock = params_.clock;
-  tesla_ = std::make_unique<TeslaVerifier>(tesla_config, reg, scope);
+  tesla_ = std::make_unique<TeslaVerifier>(params_, reg, scope);
 }
 
 std::size_t Auditor::shard_index(std::string_view drone_id) const {
@@ -336,9 +329,10 @@ std::string Auditor::authenticate_samples(
 
   // TESLA chain mode: the PoA is self-contained (see AuthMode docs) — the
   // commitment is re-verified under T+, the carried frontier element is
-  // chained down to the committed anchor, and every MAC key the proof
-  // needs is captured along that single walk. One RSA verify total; the
-  // rest is hashing.
+  // walked down to the lowest interval the samples need, capturing every
+  // MAC key on the way, and the key reached is checked against the
+  // committed anchor through ChainFrontier. One RSA verify total; the rest
+  // is hashing (frontier-index chain steps in all).
   std::map<std::uint64_t, crypto::HmacSha256> tesla_keys;
   std::vector<std::uint64_t> tesla_intervals;
   if (poa.mode == AuthMode::kTeslaChain) {
@@ -352,17 +346,9 @@ std::string Auditor::authenticate_samples(
                             poa.session_key_signature, poa.hash)) {
       return "tesla commitment signature invalid";
     }
-    if (poa.session_key_ciphertext.size() != 8 + crypto::kChainKeySize) {
-      return "tesla frontier malformed";
-    }
-    std::uint64_t top_index = 0;
-    for (std::size_t i = 0; i < 8; ++i) {
-      top_index = (top_index << 8) | poa.session_key_ciphertext[i];
-    }
-    if (top_index > commit->chain_length) return "tesla frontier out of range";
-    crypto::ChainKey cur{};
-    std::copy_n(poa.session_key_ciphertext.begin() + 8, crypto::kChainKeySize,
-                cur.begin());
+    const auto frontier = tee::parse_tesla_frontier(poa.session_key_ciphertext);
+    if (!frontier) return "tesla frontier malformed";
+    if (frontier->index > commit->chain_length) return "tesla frontier out of range";
     // Interval of every sample, from its embedded canonical timestamp.
     std::set<std::uint64_t> needed;
     tesla_intervals.reserve(poa.samples.size());
@@ -371,13 +357,16 @@ std::string Auditor::authenticate_samples(
       if (!t_us) return "sample " + std::to_string(i) + " malformed";
       const std::uint64_t interval =
           tee::tesla_interval(*t_us, commit->t0_us, commit->interval_us);
-      if (interval == 0 || interval > top_index) {
+      if (interval == 0 || interval > frontier->index) {
         return "sample " + std::to_string(i) + " key undisclosed";
       }
       tesla_intervals.push_back(interval);
       needed.insert(interval);
     }
-    std::uint64_t at = top_index;
+    // Walk down from the frontier, keying each needed interval on the way;
+    // the lowest key reached must then chain down to the committed anchor.
+    crypto::ChainKey cur = frontier->key;
+    std::uint64_t at = frontier->index;
     for (auto it = needed.rbegin(); it != needed.rend(); ++it) {
       while (at > *it) {
         cur = crypto::chain_step(cur);
@@ -385,11 +374,8 @@ std::string Auditor::authenticate_samples(
       }
       tesla_keys.emplace(*it, crypto::tesla_tag_key(cur));
     }
-    while (at > 0) {
-      cur = crypto::chain_step(cur);
-      --at;
-    }
-    if (cur != commit->anchor) return "tesla frontier does not chain to anchor";
+    crypto::ChainFrontier anchor(commit->anchor, commit->chain_length);
+    if (!anchor.accept(at, cur)) return "tesla frontier does not chain to anchor";
   }
 
   crypto::Bytes batch_payload;
@@ -548,31 +534,57 @@ PoaVerdict Auditor::verify_poa(const ProofOfAlibi& poa, double submission_time) 
                            submission_time);
 }
 
+std::vector<Auditor::PoaEvaluation> Auditor::evaluate_batch(
+    std::span<const PoaView> views, runtime::ThreadPool* pool) const {
+  // evaluate_poa reads per-drone records under brief shard locks and zone
+  // geometry via the shapes snapshot, so the views can fan out freely.
+  std::vector<PoaEvaluation> evaluations(views.size());
+  const auto evaluate = [&](std::size_t i) {
+    evaluations[i] = evaluate_poa(views[i]);
+  };
+  if (pool != nullptr) {
+    runtime::parallel_for(*pool, 0, views.size(), evaluate);
+  } else {
+    for (std::size_t i = 0; i < views.size(); ++i) evaluate(i);
+  }
+  return evaluations;
+}
+
 std::vector<PoaVerdict> Auditor::verify_poa_batch(
     std::span<const ProofOfAlibi> poas, double submission_time,
     runtime::ThreadPool* pool) {
-  std::vector<PoaVerdict> verdicts(poas.size());
-  if (pool == nullptr || pool->size() <= 1 || poas.size() <= 1) {
-    for (std::size_t i = 0; i < poas.size(); ++i) {
-      verdicts[i] = verify_poa(poas[i], submission_time);
-    }
-    return verdicts;
-  }
+  std::vector<PoaView> views;
+  views.reserve(poas.size());
+  for (const ProofOfAlibi& poa : poas) views.push_back(PoaView::of(poa));
+  std::vector<PoaEvaluation> evaluations = evaluate_batch(views, pool);
 
-  // Phase 1 — parallel, read-only: evaluate_poa reads per-drone records
-  // under brief shard locks and zone geometry via the shapes snapshot.
-  std::vector<PoaEvaluation> evaluations(poas.size());
-  runtime::parallel_for(*pool, 0, poas.size(), [&](std::size_t i) {
-    evaluations[i] = evaluate_poa(PoaView::of(poas[i]));
-  });
-
-  // Phase 2 — serial, in submission order: retention order and audit-log
+  // Commit serially, in submission order: retention order and audit-log
   // contents match the verify_poa loop byte for byte.
+  std::vector<PoaVerdict> verdicts;
+  verdicts.reserve(poas.size());
   for (std::size_t i = 0; i < poas.size(); ++i) {
-    verdicts[i] = commit_evaluation(poas[i].drone_id, std::move(evaluations[i]),
-                                    submission_time);
+    verdicts.push_back(commit_evaluation(poas[i].drone_id,
+                                         std::move(evaluations[i]),
+                                         submission_time));
   }
   return verdicts;
+}
+
+Auditor::SubmissionReply Auditor::commit_submission(const crypto::Bytes& digest,
+                                                    const PoaView& view,
+                                                    PoaEvaluation evaluation) {
+  // Re-check: a copy of the same proof may have committed since this one
+  // was admitted; it gets the first verdict verbatim, with no second
+  // retention or audit event.
+  if (auto hit = lookup_submission(digest)) return {std::move(*hit), true};
+  // Submission time: the latest sample time stands in for server wall clock.
+  const PoaVerdict verdict = commit_evaluation(
+      view.drone_id, std::move(evaluation), view.end_time().value_or(0.0));
+  crypto::Bytes encoded = verdict.encode();
+  // Only accepted proofs had side effects worth fencing; rejected ones
+  // re-verify idempotently and stay out of the bounded cache.
+  if (verdict.accepted) note_submission(digest, encoded);
+  return {std::move(encoded), false};
 }
 
 PoaVerdict Auditor::verify_poa_bytes(std::span<const std::uint8_t> poa_bytes,
@@ -794,7 +806,7 @@ const char* Auditor::method_suffix(WireMethod method) {
 }
 
 crypto::Bytes Auditor::handle_frame(WireMethod method,
-                                    const crypto::Bytes& in) {
+                                    std::span<const std::uint8_t> in) {
   switch (method) {
     case WireMethod::kRegisterDrone: {
       const auto request = RegisterDroneRequest::decode(in);
@@ -834,19 +846,12 @@ crypto::Bytes Auditor::handle_frame(WireMethod method,
       // Zero-copy verification straight out of the request frame; an owning
       // proof is materialized only if the verdict reaches retention.
       PoaView view;
-      PoaVerdict verdict;
       if (!PoaView::parse_into(*poa_bytes, view)) {
+        PoaVerdict verdict;
         verdict.detail = "unparseable PoA";
-      } else {
-        // Submission time: latest sample time stands in for server wall clock.
-        const double t = view.end_time().value_or(0.0);
-        verdict = commit_evaluation(view.drone_id, evaluate_poa(view), t);
+        return verdict.encode();
       }
-      crypto::Bytes encoded = verdict.encode();
-      // Only accepted proofs had side effects worth fencing; rejected ones
-      // re-verify idempotently and stay out of the bounded cache.
-      if (verdict.accepted) note_submission(digest, encoded);
-      return encoded;
+      return commit_submission(digest, view, evaluate_poa(view)).encoded;
     }
     case WireMethod::kTeslaAnnounce: {
       const auto request = TeslaAnnounceRequest::decode(in);

@@ -14,8 +14,14 @@
 // only decides which mutex guards which drone — commit order is decided
 // by the caller (serial in bind(), admission order in AuditorIngest), so
 // verdicts and audit logs are byte-identical to the serial path for any
-// shard or thread count, mirroring verify_poa_batch's evaluate-parallel/
-// commit-serial discipline.
+// shard or thread count.
+//
+// A PoA takes one code path per step wherever it arrives: evaluate_poa
+// (pure), fanned out over a batch only by evaluate_batch; commit_evaluation
+// for retention and the audit event, behind commit_submission for bus
+// submissions (dedup re-check, submission time, accepted-only dedup
+// cache); and one frame dispatcher, handle_frame, which bind(),
+// AuditorIngest's TESLA path and ReplicatedAuditor all call.
 //
 // Lock order (outer to inner): registration_mu_ -> zones_mu_ -> shard.mu.
 // The nonce and submit-dedup caches use their own leaf mutexes and are
@@ -181,7 +187,8 @@ class Auditor {
   /// the seam ReplicatedAuditor re-executes requests through: feeding the
   /// same frames in the same order to two Auditors yields byte-identical
   /// responses, state and ledger streams.
-  crypto::Bytes handle_frame(WireMethod method, const crypto::Bytes& request);
+  crypto::Bytes handle_frame(WireMethod method,
+                             std::span<const std::uint8_t> request);
 
   /// Register the serialized endpoints ("<prefix>.register_drone", ...).
   /// The prefix is the Auditor's bus address — replicas bind the same
@@ -292,11 +299,31 @@ class Auditor {
   /// ProofOfAlibi is materialized only on the retain path.
   PoaEvaluation evaluate_poa(const PoaView& poa) const;
 
+  /// The evaluate phase of a batch: evaluate_poa for every view, fanned
+  /// out by index across `pool` when one is given (nullptr: on the calling
+  /// thread). Results land by index, so the schedule cannot change any
+  /// evaluation; callers then commit serially in submission order.
+  std::vector<PoaEvaluation> evaluate_batch(std::span<const PoaView> views,
+                                            runtime::ThreadPool* pool) const;
+
   /// Apply an evaluation's side effects (retention, store write, audit
   /// event) and return its verdict. Callers serialize commits and order
   /// them by submission for deterministic logs.
   PoaVerdict commit_evaluation(std::string_view drone_id, PoaEvaluation evaluation,
                                double submission_time);
+
+  struct SubmissionReply {
+    crypto::Bytes encoded;   ///< the encoded PoaVerdict
+    bool duplicate = false;  ///< answered from the dedup cache
+  };
+
+  /// The commit step of one submit_poa proof, for the bus endpoint and
+  /// AuditorIngest alike: re-checks the dedup cache (`digest` is the
+  /// proof bytes' SHA-256), else commits at the proof's last sample time
+  /// and caches the verdict if it was accepted.
+  SubmissionReply commit_submission(const crypto::Bytes& digest,
+                                    const PoaView& view,
+                                    PoaEvaluation evaluation);
 
   ZoneQueryResponse query_zones_impl(std::string_view drone_id,
                                      const QueryRect& rect,

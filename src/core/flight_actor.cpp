@@ -13,24 +13,6 @@
 
 namespace alidrone::core {
 
-namespace {
-
-crypto::Bytes be_bytes(std::uint64_t v, std::size_t width) {
-  crypto::Bytes out(width);
-  for (std::size_t i = 0; i < width; ++i) {
-    out[i] = static_cast<std::uint8_t>((v >> (8 * (width - 1 - i))) & 0xFF);
-  }
-  return out;
-}
-
-std::uint64_t read_be64(const crypto::Bytes& b) {
-  std::uint64_t v = 0;
-  for (const std::uint8_t byte : b) v = (v << 8) | byte;
-  return v;
-}
-
-}  // namespace
-
 FlightActor::FlightActor(tee::DroneTee& tee, gps::GpsReceiverSim& receiver,
                          SamplingPolicy& policy, FlightConfig config)
     : tee_(tee),
@@ -305,8 +287,9 @@ void FlightActor::step_tesla_init() {
       std::llround(tesla_config_.interval_s * 1e6));
 
   const std::vector<crypto::Bytes> begin_params{
-      be_bytes(chain_length_, 4), be_bytes(tesla_config_.disclosure_delay, 4),
-      be_bytes(interval_us_, 8)};
+      crypto::be_bytes(chain_length_),
+      crypto::be_bytes(tesla_config_.disclosure_delay),
+      crypto::be_bytes(interval_us_)};
   const tee::InvokeResult begun = invoke_sampler_with_retry(
       tee_, tee::SamplerCommand::kTeslaBegin, begin_params);
   if (!begun.ok() || begun.outputs.size() != 2) {
@@ -354,7 +337,7 @@ void FlightActor::enqueue_try_announce() {
 void FlightActor::disclose_up_to(std::uint64_t matured) {
   matured = std::min<std::uint64_t>(matured, chain_length_);
   if (matured <= last_disclosed_) return;
-  const std::vector<crypto::Bytes> params{be_bytes(matured, 8)};
+  const std::vector<crypto::Bytes> params{crypto::be_bytes(matured)};
   const tee::InvokeResult disclosed =
       invoke_sampler_with_retry(tee_, tee::SamplerCommand::kTeslaDisclose,
                                 params);
@@ -400,13 +383,15 @@ void FlightActor::step_tesla_sampling() {
       invoke_sampler_with_retry(tee_, tee::SamplerCommand::kGetGpsTesla);
   enqueue_try_announce();
 
-  if (fix.status == tee::TeeStatus::kSuccess && fix.outputs.size() == 3) {
+  if (fix.status == tee::TeeStatus::kSuccess && fix.outputs.size() == 3 &&
+      fix.outputs[2].size() == 8) {
     const auto decoded = tee::decode_sample(fix.outputs[0]);
     if (decoded) {
       last_fix_time_ = decoded->unix_time;
       if (policy_.should_authenticate(*decoded)) {
         policy_.on_recorded(*decoded);
-        const std::uint64_t interval = read_be64(fix.outputs[2]);
+        const auto interval =
+            crypto::get_be<std::uint64_t>(fix.outputs[2].data());
         tesla_.max_interval_used =
             std::max(tesla_.max_interval_used, interval);
         TeslaSampleBroadcast sample;

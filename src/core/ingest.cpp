@@ -1,12 +1,9 @@
 #include "core/ingest.h"
 
 #include <algorithm>
-#include <map>
-#include <string_view>
 #include <utility>
 
 #include "crypto/sha256.h"
-#include "runtime/parallel_for.h"
 
 namespace alidrone::core {
 
@@ -107,7 +104,7 @@ crypto::Bytes AuditorIngest::submit(std::span<const std::uint8_t> request_frame)
   return future.get();
 }
 
-crypto::Bytes AuditorIngest::submit_tesla(Kind kind,
+crypto::Bytes AuditorIngest::submit_tesla(Auditor::WireMethod method,
                                           std::span<const std::uint8_t> frame) {
   submitted_->increment();
   const std::lock_guard<std::mutex> lock(commit_mu_);
@@ -116,41 +113,7 @@ crypto::Bytes AuditorIngest::submit_tesla(Kind kind,
     return net::retry_later_reply();
   }
   admitted_->increment();
-  return apply_tesla(kind, frame);
-}
-
-crypto::Bytes AuditorIngest::apply_tesla(Kind kind,
-                                         std::span<const std::uint8_t> frame) {
-  switch (kind) {
-    case Kind::kTeslaAnnounce: {
-      const auto request = TeslaAnnounceRequest::decode(frame);
-      return (request ? auditor_.tesla_announce(*request)
-                      : TeslaAck{false, "bad request"})
-          .encode();
-    }
-    case Kind::kTeslaSample: {
-      const auto view = TeslaSampleBroadcastView::decode(frame);
-      return (view ? auditor_.tesla_sample(*view)
-                   : TeslaAck{false, "bad request"})
-          .encode();
-    }
-    case Kind::kTeslaDisclose: {
-      const auto view = TeslaDiscloseRequestView::decode(frame);
-      return (view ? auditor_.tesla_disclose(*view)
-                   : TeslaAck{false, "bad request"})
-          .encode();
-    }
-    case Kind::kTeslaFinalize: {
-      const auto request = TeslaFinalizeRequest::decode(frame);
-      if (!request) {
-        PoaVerdict verdict;
-        verdict.detail = "bad request";
-        return verdict.encode();
-      }
-      return auditor_.tesla_finalize(*request).encode();
-    }
-  }
-  return {};  // unreachable: every Kind returns above
+  return auditor_.handle_frame(method, frame);
 }
 
 void AuditorIngest::ingest_loop() {
@@ -185,93 +148,58 @@ void AuditorIngest::process_batch(std::vector<Item>& batch) {
   max_batch_seen_->set_max(static_cast<double>(n));
 
   // Parse zero-copy into the reused scratch views (ingest thread only —
-  // sample vectors keep their capacity from batch to batch).
+  // sample vectors keep their capacity from batch to batch). An
+  // unparseable frame gets no view and is answered at commit.
+  constexpr std::size_t kNoView = static_cast<std::size_t>(-1);
   if (views_.size() < n) views_.resize(n);
-  std::vector<char> parsed(n);
+  std::vector<std::size_t> view_of(n, kNoView);
+  std::size_t parsed = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    parsed[i] = PoaView::parse_into(batch[i].frame, views_[i]) ? 1 : 0;
+    if (PoaView::parse_into(batch[i].frame, views_[parsed])) view_of[i] = parsed++;
   }
 
-  // Evaluate — pure reads, so the whole batch can fan out.
   if (config_.recorder != nullptr) {
     config_.recorder->record(obs::TraceKind::kIngestEvaluate, 0.0, n,
                              batches_->value(), "batch-evaluate");
   }
-  std::vector<Auditor::PoaEvaluation> evaluations(n);
-  const auto evaluate = [&](std::size_t i) {
-    if (parsed[i]) evaluations[i] = auditor_.evaluate_poa(views_[i]);
-  };
-  if (verify_pool_ != nullptr && n > 1) {
-    // Fan out by drone, not by index: all PoAs of one drone share one TEE
-    // modulus, so keeping them on a single worker keeps that modulus's
-    // MontgomeryContext (and the batch verifier's working set) hot in
-    // cache instead of bouncing it between cores. Groups are built in
-    // first-appearance order and results land by index, so the schedule
-    // cannot change any evaluation or verdict.
-    std::vector<std::vector<std::size_t>> groups;
-    std::map<std::string_view, std::size_t> group_of;
-    for (std::size_t i = 0; i < n; ++i) {
-      if (!parsed[i]) continue;  // evaluate() is a no-op for these
-      const auto [it, fresh] =
-          group_of.try_emplace(views_[i].drone_id, groups.size());
-      if (fresh) groups.emplace_back();
-      groups[it->second].push_back(i);
-    }
-    runtime::parallel_for(*verify_pool_, 0, groups.size(), [&](std::size_t g) {
-      for (const std::size_t i : groups[g]) evaluate(i);
-    });
-  } else {
-    for (std::size_t i = 0; i < n; ++i) evaluate(i);
-  }
+  std::vector<Auditor::PoaEvaluation> evaluations = auditor_.evaluate_batch(
+      std::span<const PoaView>(views_.data(), parsed), verify_pool_.get());
   if (config_.recorder != nullptr) {
     config_.recorder->record(obs::TraceKind::kIngestCommit, 0.0, n,
                              batches_->value(), "batch-commit");
   }
 
-  // Commit serially in admission order. The digest re-check makes same-
-  // batch duplicates exactly-once: the second copy gets the first's
-  // verdict verbatim with no second retention or audit event.
+  // Commit serially in admission order. The commit step's digest re-check
+  // makes same-batch duplicates exactly-once.
   const std::lock_guard<std::mutex> lock(commit_mu_);
   for (std::size_t i = 0; i < n; ++i) {
     Item& item = batch[i];
-    crypto::Bytes encoded;
-    if (!parsed[i]) {
+    const std::size_t v = view_of[i];
+    if (v == kNoView) {
       PoaVerdict verdict;
       verdict.detail = "unparseable PoA";
-      encoded = verdict.encode();
-    } else if (auto hit = auditor_.lookup_submission(item.digest)) {
-      duplicates_->increment();
-      encoded = *hit;
+      item.reply.set_value(verdict.encode());
     } else {
-      // Submission time: latest sample time stands in for server wall
-      // clock, matching the unbatched endpoint.
-      const double t = views_[i].end_time().value_or(0.0);
-      const PoaVerdict verdict = auditor_.commit_evaluation(
-          views_[i].drone_id, std::move(evaluations[i]), t);
-      encoded = verdict.encode();
-      if (verdict.accepted) auditor_.note_submission(item.digest, encoded);
-      committed_->increment();
+      Auditor::SubmissionReply reply = auditor_.commit_submission(
+          item.digest, views_[v], std::move(evaluations[v]));
+      (reply.duplicate ? duplicates_ : committed_)->increment();
+      item.reply.set_value(std::move(reply.encoded));
     }
-    item.reply.set_value(std::move(encoded));
     pool_.release(std::move(item.frame));
   }
 }
 
 void AuditorIngest::bind(net::Transport& bus, const std::string& prefix) {
+  using Method = Auditor::WireMethod;
   bus.register_endpoint(prefix + ".submit_poa",
                         [this](const crypto::Bytes& in) { return submit(in); });
-  bus.register_endpoint(prefix + ".tesla_announce", [this](const crypto::Bytes& in) {
-    return submit_tesla(Kind::kTeslaAnnounce, in);
-  });
-  bus.register_endpoint(prefix + ".tesla_sample", [this](const crypto::Bytes& in) {
-    return submit_tesla(Kind::kTeslaSample, in);
-  });
-  bus.register_endpoint(prefix + ".tesla_disclose", [this](const crypto::Bytes& in) {
-    return submit_tesla(Kind::kTeslaDisclose, in);
-  });
-  bus.register_endpoint(prefix + ".tesla_finalize", [this](const crypto::Bytes& in) {
-    return submit_tesla(Kind::kTeslaFinalize, in);
-  });
+  for (const Method method : {Method::kTeslaAnnounce, Method::kTeslaSample,
+                              Method::kTeslaDisclose, Method::kTeslaFinalize}) {
+    bus.register_endpoint(prefix + "." + Auditor::method_suffix(method),
+                          [this, method](const crypto::Bytes& in) {
+                            return submit_tesla(method, in);
+                          });
+  }
 }
 
 AuditorIngest::Counters AuditorIngest::counters() const {

@@ -11,20 +11,21 @@
 //            backpressure ReliableChannel retries without charging its
 //            circuit breaker — instead of unbounded buffering.
 //   batch    one ingest thread drains up to max_batch queued submissions.
-//   verify   the batch is parsed into reused PoaView scratch and
-//            evaluated in parallel on an internal ThreadPool (pure reads:
+//   verify   the batch is parsed into reused PoaView scratch and run
+//            through Auditor::evaluate_batch, fanned out by index on an
+//            internal ThreadPool when verify_threads > 0 (pure reads:
 //            shard locks + zone snapshot; see Auditor::evaluate_poa).
-//   commit   side effects (retention, dedup cache, audit events) are
-//            applied serially in admission order — the queue is FIFO, so
-//            commit order equals arrival order and verdicts/audit logs
-//            are byte-identical to the unbatched serial path for any
-//            shard, thread or batch size.
+//   commit   each proof goes through Auditor::commit_submission, the same
+//            commit step as the unbatched submit_poa endpoint, serially in
+//            admission order — the queue is FIFO, so commit order equals
+//            arrival order and verdicts/audit logs are byte-identical to
+//            the unbatched serial path for any shard, thread or batch size.
 //
-// TESLA broadcast operations skip the queue: submit_tesla applies each
-// one on the calling thread under the same commit mutex the batch commit
-// loop holds, so they stay serial with PoA commits (see submit_tesla).
+// TESLA broadcast operations skip the queue: submit_tesla hands each frame
+// to Auditor::handle_frame on the calling thread, under the same commit
+// mutex the batch commit loop holds, so they stay serial with PoA commits.
 //
-// Exactly-once: the digest is re-checked at commit time, so two copies of
+// Exactly-once: commit_submission re-checks the digest, so two copies of
 // the same proof admitted into one batch still produce one retention and
 // one audit event (the second gets the first's cached verdict).
 #pragma once
@@ -75,15 +76,8 @@ class AuditorIngest {
   /// rejects with retry-later). Safe from any number of threads.
   crypto::Bytes submit(std::span<const std::uint8_t> request_frame);
 
-  /// Which TESLA broadcast operation a submit_tesla frame carries.
-  enum class Kind : std::uint8_t {
-    kTeslaAnnounce,
-    kTeslaSample,
-    kTeslaDisclose,
-    kTeslaFinalize,
-  };
-
-  /// Decode and apply one TESLA operation frame on the calling thread.
+  /// Apply one TESLA operation frame (`method` is one of the kTesla*
+  /// methods) on the calling thread, through Auditor::handle_frame.
   /// Each op is cheap (symmetric crypto plus at most one RSA verify per
   /// flight) but order-sensitive (chain frontiers, buffered intervals),
   /// so it runs under the commit mutex that the batch commit loop also
@@ -95,7 +89,8 @@ class AuditorIngest {
   /// most one batch's commit phase. No dedup (the verifier itself is
   /// idempotent where the protocol needs it). After stop() it answers
   /// retry-later, which a lossy broadcaster treats as a drop.
-  crypto::Bytes submit_tesla(Kind kind, std::span<const std::uint8_t> frame);
+  crypto::Bytes submit_tesla(Auditor::WireMethod method,
+                             std::span<const std::uint8_t> frame);
 
   /// Re-register "<prefix>.submit_poa" and the "<prefix>.tesla_*"
   /// endpoints to run through the pipeline (call after Auditor::bind,
@@ -142,7 +137,6 @@ class AuditorIngest {
 
   void ingest_loop();
   void process_batch(std::vector<Item>& batch);
-  crypto::Bytes apply_tesla(Kind kind, std::span<const std::uint8_t> frame);
 
   Auditor& auditor_;
   Config config_;

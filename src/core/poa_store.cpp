@@ -128,12 +128,8 @@ std::filesystem::path PoaStore::save(const DroneId& drone_id,
   crypto::Bytes data;
   data.reserve(8 + body_bytes.size());
   const std::uint32_t crc = ledger::crc32(body_bytes);
-  for (int i = 0; i < 4; ++i) {
-    data.push_back(static_cast<std::uint8_t>(kMagicV2 >> (8 * i)));
-  }
-  for (int i = 0; i < 4; ++i) {
-    data.push_back(static_cast<std::uint8_t>(crc >> (8 * i)));
-  }
+  crypto::put_le(data, kMagicV2);
+  crypto::put_le(data, crc);
   data.insert(data.end(), body_bytes.begin(), body_bytes.end());
 
   // Filename avoids trusting the drone id's characters.

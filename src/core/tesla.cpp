@@ -15,19 +15,12 @@ std::uint64_t now_us_of(const obs::Clock& clock) {
   return static_cast<std::uint64_t>(std::llround(clock.now() * 1e6));
 }
 
-crypto::Bytes be_bytes(std::uint64_t v, std::size_t width) {
-  crypto::Bytes out(width);
-  for (std::size_t i = 0; i < width; ++i) {
-    out[i] = static_cast<std::uint8_t>((v >> (8 * (width - 1 - i))) & 0xFF);
-  }
-  return out;
-}
-
 }  // namespace
 
-TeslaVerifier::TeslaVerifier(Config config, obs::MetricsRegistry& registry,
+TeslaVerifier::TeslaVerifier(const ProtocolParams& params,
+                             obs::MetricsRegistry& registry,
                              const std::string& scope)
-    : config_(config) {
+    : params_(params) {
   const std::string prefix = scope + ".tesla.";
   sessions_opened_ = &registry.counter(prefix + "sessions_opened");
   sessions_rejected_ = &registry.counter(prefix + "sessions_rejected");
@@ -43,12 +36,12 @@ TeslaAck TeslaVerifier::announce(const TeslaAnnounceRequest& req,
                                  const tee::TeslaCommit& commit) {
   std::lock_guard<std::mutex> lock(mu_);
   if (commit.chain_length == 0 ||
-      commit.chain_length > config_.max_chain_length) {
+      commit.chain_length > params_.tesla_max_chain_length) {
     sessions_rejected_->increment();
     return {false, "chain length out of range"};
   }
   if (commit.disclosure_delay == 0 ||
-      commit.disclosure_delay > config_.max_disclosure_delay) {
+      commit.disclosure_delay > params_.tesla_max_disclosure_delay) {
     sessions_rejected_->increment();
     return {false, "disclosure delay out of range"};
   }
@@ -64,7 +57,7 @@ TeslaAck TeslaVerifier::announce(const TeslaAnnounceRequest& req,
     sessions_rejected_->increment();
     return {false, "forked chain commitment"};
   }
-  if (sessions_.size() >= config_.max_sessions) {
+  if (sessions_.size() >= params_.tesla_max_sessions) {
     sessions_rejected_->increment();
     return {false, "session table full"};
   }
@@ -116,20 +109,20 @@ TeslaAck TeslaVerifier::sample(const TeslaSampleBroadcastView& s) {
   }
   // The TESLA security condition against the receive-time authority: the
   // sample must arrive before its key's scheduled disclosure time.
-  if (config_.clock != nullptr) {
-    const std::uint64_t now_us = now_us_of(*config_.clock);
+  if (params_.clock != nullptr) {
+    const std::uint64_t now_us = now_us_of(*params_.clock);
     const std::uint64_t release_us =
         static_cast<std::uint64_t>(session.commit.t0_us) +
         (s.interval + session.commit.disclosure_delay) *
             session.commit.interval_us;
     const std::uint64_t skew_us =
-        static_cast<std::uint64_t>(std::llround(config_.clock_skew_s * 1e6));
+        static_cast<std::uint64_t>(std::llround(params_.tesla_clock_skew_s * 1e6));
     if (now_us >= release_us + skew_us) {
       samples_rejected_->increment();
       return {false, "late: past disclosure deadline"};
     }
   }
-  if (session.pending_count >= config_.max_buffered_samples) {
+  if (session.pending_count >= params_.tesla_max_buffered_samples) {
     samples_rejected_->increment();
     return {false, "sample buffer full"};
   }
@@ -257,10 +250,8 @@ std::optional<ProofOfAlibi> TeslaVerifier::finalize(
   // the signed commitment plus the highest verified chain element.
   poa.batch_signature = std::move(session.commit_payload);
   poa.session_key_signature = std::move(session.commit_signature);
-  poa.session_key_ciphertext = be_bytes(session.frontier.frontier_index(), 8);
-  const crypto::ChainKey& top = session.frontier.frontier_key();
-  poa.session_key_ciphertext.insert(poa.session_key_ciphertext.end(),
-                                    top.begin(), top.end());
+  poa.session_key_ciphertext = tee::tesla_frontier_payload(
+      {session.frontier.frontier_index(), session.frontier.frontier_key()});
   return poa;
 }
 

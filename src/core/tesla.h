@@ -1,6 +1,6 @@
 // TESLA broadcast PoA mode — verifier-side session state and the
-// drone-side lossy broadcast flight loop (ROADMAP item 2; paper Section
-// VII symmetric-signing extension, TBRD-style delayed key disclosure).
+// drone-side lossy broadcast flight loop (paper Section VII
+// symmetric-signing extension, TBRD-style delayed key disclosure).
 //
 // Protocol shape:
 //   1. kTeslaBegin in the TEE builds a per-flight hash chain and signs
@@ -20,8 +20,15 @@
 //      the lower keys from K_j), so dropped or reordered disclosures
 //      only delay settlement, never lose it.
 //   4. Finalize assembles the accepted subset into a self-contained
-//      kTeslaChain ProofOfAlibi and adjudicates it through the standard
-//      verify/retain/audit pipeline ("auditor.tesla_finalize").
+//      kTeslaChain ProofOfAlibi — the signed commitment plus the frontier
+//      (tee::tesla_frontier_payload) — and adjudicates it through the
+//      standard verify/retain/audit pipeline ("auditor.tesla_finalize"),
+//      which re-checks the frontier against the anchor with the same
+//      crypto::ChainFrontier.
+//
+// The session limits and the receive clock are the Auditor's
+// ProtocolParams (tesla_* fields, clock); wire frames reach the verifier
+// through Auditor::handle_frame.
 //
 // Everything here is deterministic in arrival order: given the same
 // sequence of announce/sample/disclose/finalize calls, verdicts, audit
@@ -48,10 +55,6 @@
 #include "tee/sample_codec.h"
 #include "tee/secure_monitor.h"
 
-namespace alidrone::obs {
-class Clock;
-}  // namespace alidrone::obs
-
 namespace alidrone::core {
 
 /// Verifier-side TESLA session table. Pure state machine: no audit log,
@@ -63,20 +66,11 @@ namespace alidrone::core {
 /// deterministic admission order.
 class TeslaVerifier {
  public:
-  struct Config {
-    std::uint32_t max_chain_length = 1u << 20;
-    std::uint32_t max_disclosure_delay = 4096;
-    std::size_t max_sessions = 4096;
-    std::size_t max_buffered_samples = 65536;
-    double clock_skew_s = 0.0;
-    /// Receive-time authority for the security condition; null disables
-    /// the arrival-time check (offline replay).
-    const obs::Clock* clock = nullptr;
-  };
-
-  /// Counters are registered under `scope` + ".tesla." in `registry`
-  /// (e.g. "core.auditor#0.tesla.samples_accepted").
-  TeslaVerifier(Config config, obs::MetricsRegistry& registry,
+  /// Session limits, the receive clock and the clock skew come from the
+  /// Auditor's `params` (the tesla_* fields and `clock`). Counters are
+  /// registered under `scope` + ".tesla." in `registry` (e.g.
+  /// "core.auditor#0.tesla.samples_accepted").
+  TeslaVerifier(const ProtocolParams& params, obs::MetricsRegistry& registry,
                 const std::string& scope);
 
   /// The caller has already verified `req.commit_signature` over
@@ -141,7 +135,7 @@ class TeslaVerifier {
     std::uint64_t next_seq = 0;
   };
 
-  Config config_;
+  ProtocolParams params_;
   mutable std::mutex mu_;
   std::map<std::pair<DroneId, std::uint64_t>, Session> sessions_;
 

@@ -127,10 +127,7 @@ HmacSha256 tesla_tag_key(const ChainKey& chain_key) {
 ChainKey tesla_tag(const HmacSha256& tag_key, std::uint64_t interval,
                    std::span<const std::uint8_t> sample) {
   std::array<std::uint8_t, 8> be{};
-  for (int i = 0; i < 8; ++i) {
-    be[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>((interval >> (8 * (7 - i))) & 0xFF);
-  }
+  store_be(be.data(), interval);
   tag_ops_counter().increment();
   return tag_key.mac_of(be, sample);
 }

@@ -19,9 +19,7 @@ Bytes RandomSource::bytes(std::size_t n) {
 std::uint64_t RandomSource::next_u64() {
   std::uint8_t buf[8];
   fill(buf);
-  std::uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) v = (v << 8) | buf[i];
-  return v;
+  return get_be<std::uint64_t>(buf);
 }
 
 std::uint64_t RandomSource::uniform(std::uint64_t bound) {

@@ -18,26 +18,6 @@ namespace {
 // one per sealed segment: u64 first_seq, u64 entries, root, end_chain.
 constexpr std::size_t kManifestPayload = 8 + 8 + 2 * crypto::Sha256::kDigestSize;
 
-void put_u32(crypto::Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(crypto::Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
 struct ManifestRecord {
   std::uint64_t first_seq = 0;
   std::uint64_t entries = 0;
@@ -58,14 +38,14 @@ std::uint64_t scan_manifest(std::span<const std::uint8_t> data,
                             std::vector<ManifestRecord>& records) {
   std::size_t pos = 0;
   while (pos + 8 <= data.size()) {
-    const std::uint32_t len = get_u32(data.data() + pos);
-    const std::uint32_t crc = get_u32(data.data() + pos + 4);
+    const std::uint32_t len = crypto::get_le<std::uint32_t>(data.data() + pos);
+    const std::uint32_t crc = crypto::get_le<std::uint32_t>(data.data() + pos + 4);
     if (len != kManifestPayload || pos + 8 + len > data.size()) break;
     const std::span<const std::uint8_t> payload = data.subspan(pos + 8, len);
     if (crc32(payload) != crc) break;
     ManifestRecord rec;
-    rec.first_seq = get_u64(payload.data());
-    rec.entries = get_u64(payload.data() + 8);
+    rec.first_seq = crypto::get_le<std::uint64_t>(payload.data());
+    rec.entries = crypto::get_le<std::uint64_t>(payload.data() + 8);
     std::memcpy(rec.root.data(), payload.data() + 16, rec.root.size());
     std::memcpy(rec.end_chain.data(), payload.data() + 48, rec.end_chain.size());
     records.push_back(rec);
@@ -262,14 +242,14 @@ void Ledger::seal_open_segment() {
 void Ledger::append_manifest(const Segment& segment) {
   crypto::Bytes payload;
   payload.reserve(kManifestPayload);
-  put_u64(payload, segment.first_seq);
-  put_u64(payload, segment.entry_count);
+  crypto::put_le<std::uint64_t>(payload, segment.first_seq);
+  crypto::put_le<std::uint64_t>(payload, segment.entry_count);
   payload.insert(payload.end(), segment.root.begin(), segment.root.end());
   payload.insert(payload.end(), segment.end_chain.begin(),
                  segment.end_chain.end());
   crypto::Bytes frame;
-  put_u32(frame, static_cast<std::uint32_t>(payload.size()));
-  put_u32(frame, crc32(payload));
+  crypto::put_le<std::uint32_t>(frame, static_cast<std::uint32_t>(payload.size()));
+  crypto::put_le<std::uint32_t>(frame, crc32(payload));
   frame.insert(frame.end(), payload.begin(), payload.end());
   std::ofstream out(manifest_path(), std::ios::binary | std::ios::app);
   out.write(reinterpret_cast<const char*>(frame.data()),
@@ -308,7 +288,7 @@ Digest Ledger::bind_root(const Digest& core, const Digest& chain,
   h.update(core);
   h.update(chain);
   crypto::Bytes le;
-  put_u64(le, count);
+  crypto::put_le<std::uint64_t>(le, count);
   h.update(le);
   return h.finalize();
 }

@@ -12,31 +12,11 @@ namespace {
 
 constexpr std::size_t kHeaderBytes = 4 + 8 + crypto::Sha256::kDigestSize;
 
-void put_u32(crypto::Bytes& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-void put_u64(crypto::Bytes& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-std::uint32_t get_u32(const std::uint8_t* p) {
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
-std::uint64_t get_u64(const std::uint8_t* p) {
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | p[i];
-  return v;
-}
-
 crypto::Bytes header_bytes(const SegmentHeader& header) {
   crypto::Bytes out;
   out.reserve(kHeaderBytes);
-  put_u32(out, kSegmentMagic);
-  put_u64(out, header.first_seq);
+  crypto::put_le<std::uint32_t>(out, kSegmentMagic);
+  crypto::put_le<std::uint64_t>(out, header.first_seq);
   out.insert(out.end(), header.prev_chain.begin(), header.prev_chain.end());
   return out;
 }
@@ -44,8 +24,8 @@ crypto::Bytes header_bytes(const SegmentHeader& header) {
 crypto::Bytes record_bytes(std::span<const std::uint8_t> payload) {
   crypto::Bytes out;
   out.reserve(8 + payload.size());
-  put_u32(out, static_cast<std::uint32_t>(payload.size()));
-  put_u32(out, crc32(payload));
+  crypto::put_le<std::uint32_t>(out, static_cast<std::uint32_t>(payload.size()));
+  crypto::put_le<std::uint32_t>(out, crc32(payload));
   out.insert(out.end(), payload.begin(), payload.end());
   return out;
 }
@@ -56,8 +36,8 @@ std::uint64_t scan_records(std::span<const std::uint8_t> data, std::size_t pos,
                            std::vector<LedgerEntry>& entries,
                            std::size_t* bad_records) {
   while (pos + 8 <= data.size()) {
-    const std::uint32_t len = get_u32(data.data() + pos);
-    const std::uint32_t crc = get_u32(data.data() + pos + 4);
+    const std::uint32_t len = crypto::get_le<std::uint32_t>(data.data() + pos);
+    const std::uint32_t crc = crypto::get_le<std::uint32_t>(data.data() + pos + 4);
     if (pos + 8 + len > data.size()) break;  // torn: record runs past EOF
     const std::span<const std::uint8_t> payload = data.subspan(pos + 8, len);
     if (crc32(payload) != crc) break;  // torn or flipped bytes
@@ -113,11 +93,12 @@ SegmentReadResult read_segment(const std::filesystem::path& path) {
   if (!in) return result;
   const crypto::Bytes data((std::istreambuf_iterator<char>(in)),
                            std::istreambuf_iterator<char>());
-  if (data.size() < kHeaderBytes || get_u32(data.data()) != kSegmentMagic) {
+  if (data.size() < kHeaderBytes ||
+      crypto::get_le<std::uint32_t>(data.data()) != kSegmentMagic) {
     return result;
   }
   result.header_ok = true;
-  result.header.first_seq = get_u64(data.data() + 4);
+  result.header.first_seq = crypto::get_le<std::uint64_t>(data.data() + 4);
   std::memcpy(result.header.prev_chain.data(), data.data() + 12,
               result.header.prev_chain.size());
   result.valid_bytes =
@@ -138,11 +119,12 @@ crypto::Bytes encode_segment(const SegmentHeader& header,
 
 std::optional<DecodedSegment> decode_segment(
     std::span<const std::uint8_t> frame) {
-  if (frame.size() < kHeaderBytes || get_u32(frame.data()) != kSegmentMagic) {
+  if (frame.size() < kHeaderBytes ||
+      crypto::get_le<std::uint32_t>(frame.data()) != kSegmentMagic) {
     return std::nullopt;
   }
   DecodedSegment decoded;
-  decoded.header.first_seq = get_u64(frame.data() + 4);
+  decoded.header.first_seq = crypto::get_le<std::uint64_t>(frame.data() + 4);
   std::memcpy(decoded.header.prev_chain.data(), frame.data() + 12,
               decoded.header.prev_chain.size());
   std::size_t bad = 0;

@@ -19,13 +19,9 @@ crypto::Bytes Writer::take() && {
   return std::move(out_);
 }
 
-void Writer::u32(std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out_.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-}
+void Writer::u32(std::uint32_t v) { crypto::put_le(out_, v); }
 
-void Writer::u64(std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out_.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-}
+void Writer::u64(std::uint64_t v) { crypto::put_le(out_, v); }
 
 void Writer::f64(double v) { u64(std::bit_cast<std::uint64_t>(v)); }
 

@@ -115,16 +115,14 @@ inline std::optional<std::uint8_t> Reader::u8() {
 
 inline std::optional<std::uint32_t> Reader::u32() {
   if (remaining() < 4) return std::nullopt;
-  std::uint32_t v = 0;
-  for (int i = 3; i >= 0; --i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
+  const auto v = crypto::get_le<std::uint32_t>(data_.data() + pos_);
   pos_ += 4;
   return v;
 }
 
 inline std::optional<std::uint64_t> Reader::u64() {
   if (remaining() < 8) return std::nullopt;
-  std::uint64_t v = 0;
-  for (int i = 7; i >= 0; --i) v = (v << 8) | data_[pos_ + static_cast<std::size_t>(i)];
+  const auto v = crypto::get_le<std::uint64_t>(data_.data() + pos_);
   pos_ += 8;
   return v;
 }

@@ -96,10 +96,7 @@ InvokeResult GpsSamplerTA::get_gps_auth_coalesced(
   std::size_t limit = config_.max_coalesced_samples;
   if (!params.empty()) {
     if (params[0].size() != 4) return {TeeStatus::kBadParameters, {}};
-    const std::uint32_t requested = (std::uint32_t{params[0][0]} << 24) |
-                                    (std::uint32_t{params[0][1]} << 16) |
-                                    (std::uint32_t{params[0][2]} << 8) |
-                                    std::uint32_t{params[0][3]};
+    const auto requested = crypto::get_be<std::uint32_t>(params[0].data());
     if (requested == 0) return {TeeStatus::kBadParameters, {}};
     limit = std::min<std::size_t>(limit, requested);
   }
@@ -217,35 +214,15 @@ InvokeResult GpsSamplerTA::batch_finalize(SessionId session) {
   return {TeeStatus::kSuccess, {*batch, std::move(signature)}};
 }
 
-namespace {
-
-std::uint64_t read_be(const crypto::Bytes& b, std::size_t offset,
-                      std::size_t width) {
-  std::uint64_t v = 0;
-  for (std::size_t i = 0; i < width; ++i) v = (v << 8) | b[offset + i];
-  return v;
-}
-
-crypto::Bytes be64_bytes(std::uint64_t v) {
-  crypto::Bytes out(8);
-  for (int i = 0; i < 8; ++i) {
-    out[static_cast<std::size_t>(i)] =
-        static_cast<std::uint8_t>((v >> (8 * (7 - i))) & 0xFF);
-  }
-  return out;
-}
-
-}  // namespace
-
 InvokeResult GpsSamplerTA::tesla_begin(SessionId session,
                                        std::span<const crypto::Bytes> params) {
   if (params.size() != 3 || params[0].size() != 4 || params[1].size() != 4 ||
       params[2].size() != 8) {
     return {TeeStatus::kBadParameters, {}};
   }
-  const auto chain_length = static_cast<std::uint32_t>(read_be(params[0], 0, 4));
-  const auto delay = static_cast<std::uint32_t>(read_be(params[1], 0, 4));
-  const std::uint64_t interval_us = read_be(params[2], 0, 8);
+  const auto chain_length = crypto::get_be<std::uint32_t>(params[0].data());
+  const auto delay = crypto::get_be<std::uint32_t>(params[1].data());
+  const auto interval_us = crypto::get_be<std::uint64_t>(params[2].data());
   if (chain_length == 0 || chain_length > config_.tesla_max_chain_length ||
       delay == 0 || interval_us == 0) {
     return {TeeStatus::kBadParameters, {}};
@@ -299,7 +276,7 @@ InvokeResult GpsSamplerTA::get_gps_tesla(SessionId session) {
   const crypto::ChainKey tag = st.tesla->tag(interval, sample);
   return {TeeStatus::kSuccess,
           {sample, crypto::Bytes(tag.begin(), tag.end()),
-           be64_bytes(interval)}};
+           crypto::be_bytes(interval)}};
 }
 
 InvokeResult GpsSamplerTA::tesla_disclose(SessionId session,
@@ -309,7 +286,7 @@ InvokeResult GpsSamplerTA::tesla_disclose(SessionId session,
   if (params.size() != 1 || params[0].size() != 8) {
     return {TeeStatus::kBadParameters, {}};
   }
-  const std::uint64_t index = read_be(params[0], 0, 8);
+  const auto index = crypto::get_be<std::uint64_t>(params[0].data());
   if (index == 0 || index > st.tesla->chain().length()) {
     return {TeeStatus::kBadParameters, {}};
   }

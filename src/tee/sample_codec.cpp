@@ -9,16 +9,12 @@ namespace alidrone::tee {
 namespace {
 
 void put_i64(crypto::Bytes& out, std::int64_t v) {
-  const auto u = static_cast<std::uint64_t>(v);
-  for (int i = 7; i >= 0; --i) {
-    out.push_back(static_cast<std::uint8_t>((u >> (8 * i)) & 0xFF));
-  }
+  crypto::put_be(out, static_cast<std::uint64_t>(v));
 }
 
 std::int64_t get_i64(std::span<const std::uint8_t> data, std::size_t offset) {
-  std::uint64_t u = 0;
-  for (int i = 0; i < 8; ++i) u = (u << 8) | data[offset + static_cast<std::size_t>(i)];
-  return static_cast<std::int64_t>(u);
+  return static_cast<std::int64_t>(
+      crypto::get_be<std::uint64_t>(data.data() + offset));
 }
 
 std::int64_t scale(double v, double factor) {
@@ -72,18 +68,6 @@ namespace {
 
 constexpr std::array<std::uint8_t, 5> kTeslaMagic = {'A', 'T', 'S', 'L', '1'};
 
-void put_u32(crypto::Bytes& out, std::uint32_t v) {
-  for (int i = 3; i >= 0; --i) {
-    out.push_back(static_cast<std::uint8_t>((v >> (8 * i)) & 0xFF));
-  }
-}
-
-std::uint32_t get_u32(std::span<const std::uint8_t> data, std::size_t offset) {
-  std::uint32_t u = 0;
-  for (int i = 0; i < 4; ++i) u = (u << 8) | data[offset + static_cast<std::size_t>(i)];
-  return u;
-}
-
 }  // namespace
 
 crypto::Bytes tesla_commit_payload(const TeslaCommit& commit) {
@@ -91,9 +75,9 @@ crypto::Bytes tesla_commit_payload(const TeslaCommit& commit) {
   out.reserve(kTeslaCommitPayloadSize);
   out.insert(out.end(), kTeslaMagic.begin(), kTeslaMagic.end());
   out.insert(out.end(), commit.anchor.begin(), commit.anchor.end());
-  put_u32(out, commit.chain_length);
-  put_u32(out, commit.disclosure_delay);
-  put_i64(out, static_cast<std::int64_t>(commit.interval_us));
+  crypto::put_be(out, commit.chain_length);
+  crypto::put_be(out, commit.disclosure_delay);
+  crypto::put_be(out, commit.interval_us);
   put_i64(out, commit.t0_us);
   return out;
 }
@@ -105,12 +89,29 @@ std::optional<TeslaCommit> parse_tesla_commit(std::span<const std::uint8_t> data
   }
   TeslaCommit commit;
   std::copy_n(data.begin() + 5, commit.anchor.size(), commit.anchor.begin());
-  commit.chain_length = get_u32(data, 37);
-  commit.disclosure_delay = get_u32(data, 41);
-  commit.interval_us = static_cast<std::uint64_t>(get_i64(data, 45));
+  commit.chain_length = crypto::get_be<std::uint32_t>(data.data() + 37);
+  commit.disclosure_delay = crypto::get_be<std::uint32_t>(data.data() + 41);
+  commit.interval_us = crypto::get_be<std::uint64_t>(data.data() + 45);
   commit.t0_us = get_i64(data, 53);
   if (commit.chain_length == 0 || commit.interval_us == 0) return std::nullopt;
   return commit;
+}
+
+crypto::Bytes tesla_frontier_payload(const TeslaFrontier& frontier) {
+  crypto::Bytes out;
+  out.reserve(kTeslaFrontierSize);
+  crypto::put_be(out, frontier.index);
+  out.insert(out.end(), frontier.key.begin(), frontier.key.end());
+  return out;
+}
+
+std::optional<TeslaFrontier> parse_tesla_frontier(
+    std::span<const std::uint8_t> data) {
+  if (data.size() != kTeslaFrontierSize) return std::nullopt;
+  TeslaFrontier frontier;
+  frontier.index = crypto::get_be<std::uint64_t>(data.data());
+  std::copy_n(data.begin() + 8, frontier.key.size(), frontier.key.begin());
+  return frontier;
 }
 
 }  // namespace alidrone::tee

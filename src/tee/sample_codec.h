@@ -11,6 +11,7 @@
 // through double <-> int64 at these magnitudes.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <optional>
 #include <span>
@@ -57,6 +58,23 @@ struct TeslaCommit {
 
 crypto::Bytes tesla_commit_payload(const TeslaCommit& commit);
 std::optional<TeslaCommit> parse_tesla_commit(std::span<const std::uint8_t> data);
+
+// --- TESLA-PoA frontier -----------------------------------------------
+//
+// A finalized kTeslaChain proof carries the highest chain element the
+// Auditor verified, so the proof re-verifies offline from the commitment
+// alone. Layout: index u64 (big-endian) | K_index[32].
+inline constexpr std::size_t kTeslaFrontierSize = 8 + 32;
+
+struct TeslaFrontier {
+  std::uint64_t index = 0;
+  std::array<std::uint8_t, 32> key{};  ///< K_index
+};
+
+crypto::Bytes tesla_frontier_payload(const TeslaFrontier& frontier);
+/// nullopt when the buffer is not exactly kTeslaFrontierSize bytes.
+std::optional<TeslaFrontier> parse_tesla_frontier(
+    std::span<const std::uint8_t> data);
 
 /// Interval index of timestamp t against flight epoch t0: intervals are
 /// 1-based (i = 1 covers [t0, t0 + tau)); returns 0 for t < t0 (clock

@@ -15,17 +15,22 @@
 //     stay correct while PoA batches commit beside them.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 #include "core/attacks.h"
 #include "core/audit_log.h"
 #include "core/auditor.h"
 #include "core/drone_client.h"
 #include "core/ingest.h"
+#include "core/poa_store.h"
 #include "core/tesla.h"
 #include "core/zone_owner.h"
 #include "geo/units.h"
@@ -479,10 +484,87 @@ TEST_F(TeslaSecurityTest, UnknownSessionAndMalformedInputsRejected) {
   EXPECT_EQ(send(outside).detail, "interval out of range");
 }
 
+TEST_F(TeslaSecurityTest, TamperedRetainedProofRejectedWithExactDetail) {
+  // One honest session: samples in intervals 1..8, K_9 disclosed, then
+  // finalized and retained. A durable store hands back the retained
+  // kTeslaChain proof so each row can tamper with one part of it.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("alidrone_tesla_tamper_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  rig_.auditor.attach_store(std::make_shared<PoaStore>(dir));
+  open_session();
+  for (std::uint64_t tick = 0; tick < 8; ++tick) {
+    ASSERT_TRUE(send(honest_sample(tick)).accepted);
+  }
+  ASSERT_EQ(disclose(9, fetch_key(9)).detail, "settled 8 samples");
+  TeslaFinalizeRequest finalize;
+  finalize.drone_id = rig_.client.id();
+  finalize.session_nonce = kNonce;
+  finalize.end_time = kT0 + 8.0 * kTick;
+  const PoaVerdict honest = rig_.auditor.tesla_finalize(finalize);
+  ASSERT_TRUE(honest.accepted) << honest.detail;
+  const auto stored = PoaStore(dir).load_for_drone(rig_.client.id());
+  rig_.auditor.attach_store(nullptr);
+  std::filesystem::remove_all(dir);
+  ASSERT_EQ(stored.size(), 1u);
+  const ProofOfAlibi& retained = stored[0].poa;
+  ASSERT_EQ(retained.samples.size(), 8u);
+
+  // The frontier field is BE64(index) || K_index.
+  const auto set_frontier_index = [](ProofOfAlibi& poa, std::uint64_t index) {
+    const crypto::Bytes be = be_bytes(index, 8);
+    std::copy(be.begin(), be.end(), poa.session_key_ciphertext.begin());
+  };
+  struct Row {
+    const char* what;
+    std::function<void(ProofOfAlibi&)> tamper;
+    std::string detail;
+  };
+  const std::vector<Row> rows = {
+      {"encrypted flag", [](ProofOfAlibi& p) { p.encrypted = true; },
+       "encrypted TESLA PoA unsupported"},
+      {"truncated commitment", [](ProofOfAlibi& p) { p.batch_signature.pop_back(); },
+       "tesla commitment malformed"},
+      {"chain too long",
+       [](ProofOfAlibi& p) {
+         auto commit = tee::parse_tesla_commit(p.batch_signature);
+         commit->chain_length = ProtocolParams{}.tesla_max_chain_length + 1;
+         p.batch_signature = tee::tesla_commit_payload(*commit);
+       },
+       "tesla chain too long"},
+      {"flipped commitment signature",
+       [](ProofOfAlibi& p) { p.session_key_signature[0] ^= 0x01; },
+       "tesla commitment signature invalid"},
+      {"frontier of the wrong size",
+       [](ProofOfAlibi& p) { p.session_key_ciphertext.pop_back(); },
+       "tesla frontier malformed"},
+      {"frontier index above the chain length",
+       [&](ProofOfAlibi& p) { set_frontier_index(p, commit_.chain_length + 1); },
+       "tesla frontier out of range"},
+      {"sample past the frontier",
+       [&](ProofOfAlibi& p) { set_frontier_index(p, 5); },
+       "sample 5 key undisclosed"},
+      {"frontier key off the chain",
+       [](ProofOfAlibi& p) { p.session_key_ciphertext.back() ^= 0x01; },
+       "tesla frontier does not chain to anchor"},
+      {"flipped tag byte",
+       [](ProofOfAlibi& p) { p.samples[2].signature[0] ^= 0x01; },
+       "sample 2 tag invalid"},
+  };
+  for (const Row& row : rows) {
+    ProofOfAlibi tampered = retained;
+    row.tamper(tampered);
+    const PoaVerdict verdict = rig_.auditor.verify_poa(tampered, finalize.end_time);
+    EXPECT_FALSE(verdict.accepted) << row.what;
+    EXPECT_EQ(verdict.detail, row.detail) << row.what;
+  }
+  EXPECT_TRUE(rig_.auditor.verify_poa(retained, finalize.end_time).accepted);
+}
+
 // ---- Layer 3: determinism across ingest thread and shard counts ----
 
 struct RecordedOp {
-  AuditorIngest::Kind kind{};
+  Auditor::WireMethod kind{};
   crypto::Bytes frame;
 };
 
@@ -491,7 +573,7 @@ struct RecordedOp {
 /// the finalize — the full mix of accept and reject paths.
 std::vector<RecordedOp> record_session_ops(tee::DroneTee& tee,
                                            const DroneId& drone_id) {
-  using Kind = AuditorIngest::Kind;
+  using Kind = Auditor::WireMethod;
   std::vector<RecordedOp> ops;
 
   const geo::LocalFrame frame(geo::GeoPoint{40.0, -88.0});
@@ -796,7 +878,7 @@ TEST(TeslaIngestConcurrency, FullPoaQueueDoesNotTurnTeslaOpsAway) {
   finalize.drone_id = rig.clients[0]->id();
   finalize.session_nonce = kNonce;
   const crypto::Bytes reply = ingest.submit_tesla(
-      AuditorIngest::Kind::kTeslaFinalize, finalize.encode());
+      Auditor::WireMethod::kTeslaFinalize, finalize.encode());
   EXPECT_FALSE(net::is_retry_later(reply));
   const auto verdict = PoaVerdict::decode(reply);
   ASSERT_TRUE(verdict.has_value());
@@ -814,7 +896,7 @@ TEST(TeslaIngestConcurrency, SubmitTeslaAfterStopAnswersRetryLater) {
   finalize.drone_id = rig.clients[0]->id();
   finalize.session_nonce = kNonce;
   EXPECT_TRUE(net::is_retry_later(ingest.submit_tesla(
-      AuditorIngest::Kind::kTeslaFinalize, finalize.encode())));
+      Auditor::WireMethod::kTeslaFinalize, finalize.encode())));
   EXPECT_EQ(ingest.counters().retry_later, 1u);
 }
 

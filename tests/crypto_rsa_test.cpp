@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <optional>
 #include <span>
+#include <string>
 
 #include "crypto/prime.h"
 #include "crypto/rsa.h"
@@ -358,6 +359,13 @@ struct RsaParam {
   HashAlgorithm hash;
 };
 
+// Names the case ("512_Sha1") and prints the parameter, so test names never
+// include the struct's padding bytes.
+std::string rsa_param_name(const RsaParam& p) {
+  return std::to_string(p.bits) + (p.hash == HashAlgorithm::kSha1 ? "_Sha1" : "_Sha256");
+}
+void PrintTo(const RsaParam& p, std::ostream* os) { *os << rsa_param_name(p); }
+
 class RsaRoundTrip : public ::testing::TestWithParam<RsaParam> {};
 
 TEST_P(RsaRoundTrip, SignVerifyAndEncryptDecrypt) {
@@ -385,7 +393,10 @@ INSTANTIATE_TEST_SUITE_P(
                       RsaParam{512, HashAlgorithm::kSha256},
                       RsaParam{768, HashAlgorithm::kSha256},
                       RsaParam{1024, HashAlgorithm::kSha1},
-                      RsaParam{1024, HashAlgorithm::kSha256}));
+                      RsaParam{1024, HashAlgorithm::kSha256}),
+    [](const ::testing::TestParamInfo<RsaParam>& info) {
+      return rsa_param_name(info.param);
+    });
 
 }  // namespace
 }  // namespace alidrone::crypto
